@@ -26,6 +26,11 @@ __all__ = [
     "write_series",
 ]
 
+# Integrators raise once |s| or |h| exceeds 1 by more than this slack.
+_BOUND_SLACK = 1e-9
+# Absolute root tolerance of every brentq solve in the package.
+_ROOT_XTOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ModelParams:

@@ -91,6 +91,11 @@ class SpinSystemConfig:
             bad.append("w_s must be positive")
         if not self.w_h > 0:
             bad.append("w_h must be positive")
+        for name in ("J11", "J12", "J21", "J22", "mu_s", "mu_h", "w_s",
+                     "w_h", "b_s", "b_h"):
+            value = getattr(self, name)
+            if not callable(value) and not math.isfinite(value):
+                bad.append(f"{name} must be finite")
         if abs(self.J21 * self.N_h - self.J12 * self.N_s) > 1e-9 * max(
                 1.0, abs(self.J12 * self.N_s)):
             bad.append("J21/J12 must equal N_s/N_h")
@@ -235,6 +240,10 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     while True:
         r1, r2, r3, r4 = _rates(S, H, config, t)
         total = r1 + r2 + r3 + r4
+        if not 0.0 < total < math.inf:
+            raise ValueError(f"total flip rate {total} at t = {t} is not "
+                             "positive and finite (check the fields b_s, "
+                             "b_h)")
         dt = float(rng.exponential()) / total
         t_new = t + dt
         if sample_step is not None:

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import MarketState, ModelParams, RandomSource, Series, validate
+from .core import (_BOUND_SLACK, MarketState, ModelParams, RandomSource,
+                   Series, validate)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -34,30 +35,75 @@ __all__ = [
 SIMPLIFIED = "simplified"
 FULL = "full"
 
-_BOUND_SLACK = 1e-9
 _WORKERS_ENV = "NEWSMARKET_WORKERS"
 
 
-def _drift_pair(s: float, h: float, params: ModelParams, xi: float,
-                mode: str, beta1: float):
-    """Deterministic drift (ds/dt, dh/dt) at (s, h) with held noise xi."""
-    ds = -params.w_s * s + params.w_s * math.tanh(beta1 * s + params.beta2 * h)
+def _make_drift(params: ModelParams, beta1: float, xi: float, mode: str):
+    """Drift closure (s, h) -> (ds/dt, dh/dt) of one mode, with beta1 and
+    the held noise xi bound in."""
+    w_s, w_h, b2 = params.w_s, params.w_h, params.beta2
+    kxi = params.kappa * xi
+    tanh = math.tanh
     if mode == SIMPLIFIED:
-        arg = params.gamma * ds + params.delta + params.kappa * xi
+        gamma, delta = params.gamma, params.delta
+
+        def f(s, h):
+            ds = -w_s * s + w_s * tanh(beta1 * s + b2 * h)
+            return ds, -w_h * h + w_h * tanh(gamma * ds + delta + kxi)
+    elif mode == FULL:
+        b3, b4, a1, a2 = params.beta3, params.beta4, params.a1, params.a2
+        s_star = params.s_star
+        kappa1 = params.gamma / a1
+
+        def f(s, h):
+            ds = -w_s * s + w_s * tanh(beta1 * s + b2 * h)
+            arg = (b3 * s + b4 * h + kappa1 * (a1 * ds + a2 * (s - s_star))
+                   + kxi)
+            return ds, -w_h * h + w_h * tanh(arg)
     else:
-        kappa1 = params.gamma / params.a1
-        arg = (params.beta3 * s + params.beta4 * h
-               + kappa1 * (params.a1 * ds + params.a2 * (s - params.s_star))
-               + params.kappa * xi)
-    dh = -params.w_h * h + params.w_h * math.tanh(arg)
-    return ds, dh
+        raise ValueError(f"unknown mode {mode!r}")
+    return f
+
+
+def _rk4_step(f, s: float, h: float, dt: float):
+    """One classical Runge-Kutta step under drift f; dt < 0 reverses time."""
+    k1s, k1h = f(s, h)
+    k2s, k2h = f(s + 0.5 * dt * k1s, h + 0.5 * dt * k1h)
+    k3s, k3h = f(s + 0.5 * dt * k2s, h + 0.5 * dt * k2h)
+    k4s, k4h = f(s + dt * k3s, h + dt * k3h)
+    return (s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0,
+            h + dt * (k1h + 2.0 * k2h + 2.0 * k3h + k4h) / 6.0)
+
+
+def _daily_path(drifts, s: float, h: float, days: int, substeps: int,
+                dt: float):
+    """`days` daily samples of (s, h) from the initial state, one day per
+    drift closure in drifts, each day `substeps` RK4 steps of size dt.
+
+    Raises once |s| or |h| exceeds 1 by more than the slack.  Forward in
+    time the drift points inward on the boundary, so that is a step-size
+    failure; in reverse time it is an orbit escaping the physical box.
+    """
+    lim = 1.0 + _BOUND_SLACK
+    s_out = np.empty(days)
+    h_out = np.empty(days)
+    s_out[0] = s
+    h_out[0] = h
+    for d, f in enumerate(drifts):
+        for _ in range(substeps):
+            s, h = _rk4_step(f, s, h, dt)
+            if abs(s) > lim or abs(h) > lim:
+                raise RuntimeError(
+                    f"integrator failure at day {d}: state left [-1, 1] "
+                    f"(s = {s}, h = {h})")
+        s_out[d + 1] = s
+        h_out[d + 1] = h
+    return s_out, h_out
 
 
 def drift(state: MarketState, params: ModelParams, mode: str = SIMPLIFIED):
     """Deterministic drift (ds_dt, dh_dt) of the closed system at a state."""
-    if mode not in (SIMPLIFIED, FULL):
-        raise ValueError(f"unknown mode {mode!r}")
-    return _drift_pair(state.s, state.h, params, 0.0, mode, params.beta1)
+    return _make_drift(params, params.beta1, 0.0, mode)(state.s, state.h)
 
 
 @dataclass(frozen=True)
@@ -97,7 +143,8 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     module.  theta_profile (length >= horizon) overrides beta1 daily as
     1/theta(day); beta2 is never rescaled.  beta1_shift is added to
     whatever beta1 is in force (a documented variant of the
-    temperature-modulated runs).
+    temperature-modulated runs).  The used part of theta_profile must be
+    positive, and the daily beta1 finite and non-negative.
     """
     validate(params)
     if mode not in (SIMPLIFIED, FULL):
@@ -112,35 +159,24 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
         raise ValueError("noisy run (kappa != 0) requires a RandomSource")
 
     n = horizon_days
-    s_out = np.empty(n)
-    h_out = np.empty(n)
-    xi_seq = np.zeros(max(n - 1, 0))
-    s, h = init.s, init.h
-    s_out[0] = s
-    h_out[0] = h
-    dt = 1.0 / substeps
-    noisy = params.kappa != 0.0 and rng is not None
-    for d in range(n - 1):
-        beta1 = (params.beta1 if theta_profile is None
-                 else 1.0 / theta_profile.values[d]) + beta1_shift
-        xi = rng.standard_normal() if noisy else 0.0
-        xi_seq[d] = xi
-        for _ in range(substeps):
-            k1s, k1h = _drift_pair(s, h, params, xi, mode, beta1)
-            k2s, k2h = _drift_pair(s + 0.5 * dt * k1s, h + 0.5 * dt * k1h,
-                                   params, xi, mode, beta1)
-            k3s, k3h = _drift_pair(s + 0.5 * dt * k2s, h + 0.5 * dt * k2h,
-                                   params, xi, mode, beta1)
-            k4s, k4h = _drift_pair(s + dt * k3s, h + dt * k3h,
-                                   params, xi, mode, beta1)
-            s = s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0
-            h = h + dt * (k1h + 2.0 * k2h + 2.0 * k3h + k4h) / 6.0
-            if abs(s) > 1.0 + _BOUND_SLACK or abs(h) > 1.0 + _BOUND_SLACK:
-                raise RuntimeError(
-                    f"integrator failure at day {d}: state left [-1, 1] "
-                    f"(s = {s}, h = {h})")
-        s_out[d + 1] = s
-        h_out[d + 1] = h
+    if theta_profile is None:
+        beta1 = np.full(n - 1, params.beta1 + beta1_shift)
+    else:
+        theta = theta_profile.values[:n - 1]
+        if np.any(theta <= 0.0):
+            bad = int(np.flatnonzero(theta <= 0.0)[0])
+            raise ValueError(f"theta_profile must be positive: day {bad} "
+                             f"has theta = {theta[bad]}")
+        beta1 = 1.0 / theta + beta1_shift
+    if not np.all(np.isfinite(beta1) & (beta1 >= 0.0)):
+        raise ValueError(f"beta1_shift = {beta1_shift} leaves the daily "
+                         "beta1 negative or non-finite")
+    xi_seq = (rng.standard_normal(n - 1) if params.kappa != 0.0
+              else np.zeros(n - 1))
+    drifts = (_make_drift(params, float(b1), float(xi), mode)
+              for b1, xi in zip(beta1, xi_seq))
+    s_out, h_out = _daily_path(drifts, init.s, init.h, n, substeps,
+                               1.0 / substeps)
 
     s_series = Series(s_out, start_index=0, step=1.0)
     h_series = Series(h_out, start_index=0, step=1.0)

@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
-from .core import MarketState, ModelParams, Series
-from .market import SIMPLIFIED, _drift_pair
+from .core import _BOUND_SLACK, MarketState, ModelParams, Series
+from .market import SIMPLIFIED, _daily_path, _make_drift, _rk4_step
 from .sentiment import equilibria_1d
 
 __all__ = [
@@ -63,7 +64,6 @@ UNSTABLE_NODE = "UnstableNode"
 SADDLE = "Saddle"
 
 _RESIDUAL_TOL = 1e-8
-_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -149,8 +149,9 @@ def find_equilibria(params: ModelParams) -> list:
     """All fixed points of the autonomous system, classified.
 
     h* = tanh(delta) for every point; the s* values are the roots of the
-    self-consistency relation with tilt c = beta2*tanh(delta), found by a
-    dense bracket scan plus bisection.  Points come back sorted by s*.
+    self-consistency relation with tilt c = beta2*tanh(delta), found by
+    equilibria_1d (analytic brackets, brentq).  Points come back sorted
+    by s*.
     """
     h_star = math.tanh(params.delta)
     c = params.beta2 * h_star
@@ -240,28 +241,6 @@ def oscillator_reduction(s: float, s_dot: float, params: ModelParams):
     return g, du, u
 
 
-def _rk4_step(s: float, h: float, params: ModelParams, dt: float,
-              sgn: float):
-    """One fixed step of the autonomous system; sgn = -1 reverses time."""
-    k1s, k1h = _drift_pair(s, h, params, 0.0, SIMPLIFIED, params.beta1)
-    k1s *= sgn
-    k1h *= sgn
-    k2s, k2h = _drift_pair(s + 0.5 * dt * k1s, h + 0.5 * dt * k1h,
-                           params, 0.0, SIMPLIFIED, params.beta1)
-    k2s *= sgn
-    k2h *= sgn
-    k3s, k3h = _drift_pair(s + 0.5 * dt * k2s, h + 0.5 * dt * k2h,
-                           params, 0.0, SIMPLIFIED, params.beta1)
-    k3s *= sgn
-    k3h *= sgn
-    k4s, k4h = _drift_pair(s + dt * k3s, h + dt * k3h,
-                           params, 0.0, SIMPLIFIED, params.beta1)
-    k4s *= sgn
-    k4h *= sgn
-    return (s + dt * (k1s + 2.0 * k2s + 2.0 * k3s + k4s) / 6.0,
-            h + dt * (k1h + 2.0 * k2h + 2.0 * k3h + k4h) / 6.0)
-
-
 def integrate_autonomous(params: ModelParams, init: MarketState,
                          days: int, substeps: int = 8,
                          reverse: bool = False):
@@ -276,22 +255,10 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
         raise ValueError("days must be >= 1")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    dt = 1.0 / substeps
-    sgn = -1.0 if reverse else 1.0
-    s, h = init.s, init.h
-    s_out = np.empty(days)
-    h_out = np.empty(days)
-    s_out[0] = s
-    h_out[0] = h
-    for d in range(days - 1):
-        for _ in range(substeps):
-            s, h = _rk4_step(s, h, params, dt, sgn)
-            if abs(s) > 1.0 + _BOUND_SLACK or abs(h) > 1.0 + _BOUND_SLACK:
-                raise RuntimeError(
-                    f"integrator failure at day {d}: state left [-1, 1] "
-                    f"(s = {s}, h = {h})")
-        s_out[d + 1] = s
-        h_out[d + 1] = h
+    f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
+    dt = (-1.0 if reverse else 1.0) / substeps
+    s_out, h_out = _daily_path(repeat(f, days - 1), init.s, init.h, days,
+                               substeps, dt)
     return Series(s_out, 0, 1.0), Series(h_out, 0, 1.0)
 
 
@@ -314,8 +281,10 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     h_section = math.tanh(params.delta)
+    f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
     dt = 1.0 / substeps
-    sgn = -1.0 if reverse else 1.0
+    step = -dt if reverse else dt
+    lim = 1.0 + _BOUND_SLACK
     s, h = init.s, init.h
     t = 0.0
     prev_s_c = None
@@ -324,9 +293,9 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     smin = smax = s
     for _ in range(int(max_days) * substeps):
         s0, g0 = s, h - h_section
-        s, h = _rk4_step(s, h, params, dt, sgn)
+        s, h = _rk4_step(f, s, h, step)
         t += dt
-        if abs(s) > 1.0 + _BOUND_SLACK or abs(h) > 1.0 + _BOUND_SLACK:
+        if abs(s) > lim or abs(h) > lim:
             # Reverse-time escape from the physical box: nothing closed here.
             return LimitCycleReport(False, 0.0, (smin, smax), crossings,
                                     stable=not reverse)
@@ -339,9 +308,7 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
             frac = g0 / (g0 - g1)
             s_c = s0 + frac * (s - s0)
             t_c = (t - dt) + frac * dt
-            ds_c, _ = _drift_pair(s_c, h_section, params, 0.0, SIMPLIFIED,
-                                  params.beta1)
-            if ds_c > 0.0:
+            if f(s_c, h_section)[0] > 0.0:
                 crossings += 1
                 if prev_s_c is not None and abs(s_c - prev_s_c) < tol:
                     closed = (smax - smin) >= min_amplitude

@@ -21,6 +21,10 @@ from __future__ import annotations
 
 import math
 
+from scipy.optimize import brentq
+
+from .core import _ROOT_XTOL
+
 __all__ = [
     "solve_sbar",
     "s_star_leading",
@@ -29,7 +33,6 @@ __all__ = [
 ]
 
 _BRACKET_LO = 1e-6
-_BISECT_TOL = 1e-12
 
 
 def _averaged_gap(s: float, beta1: float, sigma: float) -> float:
@@ -40,8 +43,8 @@ def _averaged_gap(s: float, beta1: float, sigma: float) -> float:
 def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
     """Positive root of the noise-averaged fixed-point relation.
 
-    Bisection on the bracket [1e-6, 1].  Returns 0 for beta1 <= 1, and 0
-    with the paramagnetic flag when the bracket holds no sign change
+    brentq on the bracket [1e-6, 1] to 1e-12.  Returns 0 for beta1 <= 1,
+    and 0 with the paramagnetic flag when the bracket holds no sign change
     (beta1 below the noise-shifted transition).  With full_output=True
     returns (root, paramagnetic).
 
@@ -53,21 +56,11 @@ def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
         raise ValueError("sigma must lie in [0, 1)")
     if beta1 <= 1.0:
         return (0.0, True) if full_output else 0.0
-    a, b = _BRACKET_LO, 1.0
-    fa, fb = _averaged_gap(a, beta1, sigma), _averaged_gap(b, beta1, sigma)
-    if fa * fb > 0.0:
+    args = (beta1, sigma)
+    if _averaged_gap(_BRACKET_LO, *args) * _averaged_gap(1.0, *args) > 0.0:
         return (0.0, True) if full_output else 0.0
-    while b - a > _BISECT_TOL:
-        m = 0.5 * (a + b)
-        fm = _averaged_gap(m, beta1, sigma)
-        if fm == 0.0:
-            a = b = m
-            break
-        if fa * fm < 0.0:
-            b = m
-        else:
-            a, fa = m, fm
-    root = 0.5 * (a + b)
+    root = brentq(_averaged_gap, _BRACKET_LO, 1.0, args=args,
+                  xtol=_ROOT_XTOL)
     return (root, False) if full_output else root
 
 
@@ -95,7 +88,7 @@ def s_star_corrected(beta1: float, sigma: float) -> float:
 
 
 def beta1_from_sstar(s_star: float, sigma: float) -> float:
-    """Invert solve_sbar over beta1 in (1, 2] by bisection.
+    """Invert solve_sbar over beta1 in (1, 2] by brentq, to 1e-12.
 
     Raises when s_star is outside the attainable range of solve_sbar on
     the bracket.  solve_sbar is monotone in beta1 there, so the root is
@@ -107,13 +100,5 @@ def beta1_from_sstar(s_star: float, sigma: float) -> float:
     if s_star > hi_val:
         raise ValueError(
             f"s_star = {s_star} not attainable: solve_sbar(2, {sigma}) = {hi_val}")
-    a, b = 1.0, 2.0
-    for _ in range(200):
-        if b - a <= 1e-12:
-            break
-        m = 0.5 * (a + b)
-        if solve_sbar(m, sigma) < s_star:
-            a = m
-        else:
-            b = m
-    return 0.5 * (a + b)
+    return brentq(lambda b1: solve_sbar(b1, sigma) - s_star, 1.0, 2.0,
+                  xtol=_ROOT_XTOL)

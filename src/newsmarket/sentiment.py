@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
-from .core import ModelParams, Series
+from .core import _BOUND_SLACK, _ROOT_XTOL, ModelParams, Series
 
 __all__ = [
     "STABLE",
@@ -29,10 +30,6 @@ __all__ = [
 
 STABLE = "stable"
 UNSTABLE = "unstable"
-
-_SCAN_POINTS = 10_000
-_BISECT_TOL = 1e-12
-_BOUND_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -79,6 +76,9 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     out[0] = s = float(s0)
     dt = 1.0 / substeps
     tanh = math.tanh
+    # Inlined rather than routed through market._rk4_step: the 1-D system
+    # runs twice as fast this way, and iterative_theta_fit integrates it
+    # once per theta candidate.
     for d in range(n - 1):
         drive = b2 * hvals[d]
         for _ in range(substeps):
@@ -130,49 +130,37 @@ def potential_uc(params: ModelParams, c: float,
     return PotentialCurve(s_grid=grid, u_values=u, extrema=extrema)
 
 
+def _self_consistency_gap(s: float, beta1: float, c: float) -> float:
+    return math.tanh(beta1 * s + c) - s
+
+
 def equilibria_1d(beta1: float, c: float) -> list:
     """All roots of s = tanh(beta1*s + c) in [-1, 1] with their stability.
 
-    Sign-change bracketing on a 10^4-point grid, refined by bisection to
-    1e-12.  A root is stable when d/ds[tanh(beta1*s + c) - s] < 0 there.
-    Returns (s_root, "stable"|"unstable") sorted by s.
+    The gap g(s) = tanh(beta1*s + c) - s is monotone between its turning
+    points s_pm = (+-acosh(sqrt(beta1)) - c)/beta1, which exist for
+    beta1 > 1.  [-1, s_-, s_+, 1] therefore cuts [-1, 1] into at most three
+    brackets with at most one root each; brentq solves every bracket whose
+    ends differ in sign to 1e-12, and a root on a bracket end is taken
+    as is, once.  A root is stable when d/ds[tanh(beta1*s + c) - s] < 0
+    there.  Returns (s_root, "stable"|"unstable") sorted by s.
     """
     if beta1 < 0:
         raise ValueError("beta1 must be non-negative")
-
-    def g(s):
-        return math.tanh(beta1 * s + c) - s
-
-    grid = np.linspace(-1.0, 1.0, _SCAN_POINTS)
-    vals = np.array([g(s) for s in grid])
-    roots = []
-    for i in range(len(grid) - 1):
-        a, b = grid[i], grid[i + 1]
-        fa, fb = vals[i], vals[i + 1]
-        if fa == 0.0:
-            roots.append(a)
-            continue
-        if fa * fb < 0.0:
-            while b - a > _BISECT_TOL:
-                m = 0.5 * (a + b)
-                fm = g(m)
-                if fm == 0.0:
-                    a = b = m
-                    break
-                if fa * fm < 0.0:
-                    b = m
-                else:
-                    a, fa = m, fm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(grid[-1])
-    # Merge duplicates from roots landing on grid nodes.
-    merged = []
-    for r in sorted(roots):
-        if not merged or r - merged[-1] > 10 * _BISECT_TOL:
-            merged.append(r)
+    inner = set()
+    if beta1 > 1.0:
+        a = math.acosh(math.sqrt(beta1))
+        inner = {x for x in ((-a - c) / beta1, (a - c) / beta1)
+                 if -1.0 < x < 1.0}
+    ends = [-1.0, *sorted(inner), 1.0]
+    vals = [_self_consistency_gap(x, beta1, c) for x in ends]
+    roots = [x for x, v in zip(ends, vals) if v == 0.0]
+    for lo, hi, f_lo, f_hi in zip(ends, ends[1:], vals, vals[1:]):
+        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
+            roots.append(brentq(_self_consistency_gap, lo, hi,
+                                args=(beta1, c), xtol=_ROOT_XTOL))
     out = []
-    for r in merged:
+    for r in sorted(roots):
         slope = beta1 / math.cosh(beta1 * r + c) ** 2 - 1.0
         out.append((r, STABLE if slope < 0 else UNSTABLE))
     return out

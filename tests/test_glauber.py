@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsmarket.core import RandomSource
 from newsmarket.glauber import (
@@ -53,6 +55,15 @@ def test_config_validation():
         SpinSystemConfig(N_s=8, N_h=4, J12=0.5, J21=0.9)
     # consistent cross couplings pass
     SpinSystemConfig(N_s=8, N_h=4, J12=0.5, J21=1.0)
+
+
+@given(name=st.sampled_from(["J11", "J12", "J21", "J22", "mu_s", "mu_h",
+                             "w_s", "w_h", "b_s", "b_h"]),
+       value=st.sampled_from([math.inf, -math.inf, math.nan]))
+@settings(max_examples=60, deadline=None)
+def test_config_rejects_non_finite_fields(name, value):
+    with pytest.raises(ValueError, match=name):
+        SpinSystemConfig(N_s=4, N_h=4, **{name: value})
 
 
 def test_state_validation():
@@ -189,6 +200,25 @@ def test_simulate_errors():
     with pytest.raises(ValueError, match="invalid macrostate"):
         simulate_glauber(DB, 10.0, RandomSource(0),
                          init=SpinMacroState(99, 0))
+
+
+class FieldCalledTooOften(Exception):
+    pass
+
+
+def test_nan_field_raises_instead_of_hanging():
+    calls = 0
+
+    def b_s(t):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise FieldCalledTooOften
+        return math.nan
+
+    cfg = SpinSystemConfig(N_s=8, N_h=4, J11=1.0, mu_s=1.0, b_s=b_s)
+    with pytest.raises(ValueError, match="rate"):
+        simulate_glauber(cfg, 10.0, RandomSource(0))
 
 
 def test_time_average_matches_gibbs_mean():

@@ -89,6 +89,15 @@ def test_run_shapes_and_xi():
     assert quiet.seed is None
 
 
+def test_xi_is_the_scalar_draw_sequence():
+    # simulate draws the day's noise in one block; it must equal, bit for
+    # bit, n - 1 successive scalar draws from the same stream
+    run = simulate(MAIN, MarketState(0.5, 0.0), 200, rng=RandomSource(42, 3))
+    src = RandomSource(42, 3)
+    want = np.array([src.standard_normal() for _ in range(199)])
+    assert run.xi.tobytes() == want.tobytes()
+
+
 def test_simulate_is_deterministic():
     a = simulate(MAIN, MarketState(0.5, 0.0), 300, rng=RandomSource(42))
     b = simulate(MAIN, MarketState(0.5, 0.0), 300, rng=RandomSource(42))
@@ -128,6 +137,26 @@ def test_simulate_errors():
         simulate(QUIET, MarketState(0.0, 0.0), 10, mode="bogus")
     with pytest.raises(ValueError, match="invalid parameters"):
         simulate(QUIET.replace(w_s=-1.0), MarketState(0.0, 0.0), 10)
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0])
+def test_simulate_rejects_nonpositive_theta(theta):
+    prof = Series(np.r_[np.ones(5), theta, np.ones(4)])
+    # rejected before any 1/theta is formed
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="theta_profile"):
+            simulate(QUIET, MarketState(0.5, 0.0), 10, theta_profile=prof)
+    # only the days that set a beta1 are checked: the last sample is unused
+    simulate(QUIET, MarketState(0.5, 0.0), 6, theta_profile=prof)
+
+
+def test_simulate_rejects_negative_beta1_from_shift():
+    with pytest.raises(ValueError, match="beta1_shift"):
+        simulate(QUIET, MarketState(0.5, 0.0), 10, beta1_shift=-5.0)
+    prof = Series(np.full(10, 0.5))
+    with pytest.raises(ValueError, match="beta1_shift"):
+        simulate(QUIET, MarketState(0.5, 0.0), 10, theta_profile=prof,
+                 beta1_shift=-2.5)
 
 
 def test_unstable_step_raises():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from newsmarket.core import ModelParams, Series
+from newsmarket.phase import delta_critical
 from newsmarket.sentiment import (
     STABLE,
     UNSTABLE,
@@ -159,6 +160,28 @@ def test_equilibria_against_brentq():
         ref = brentq_roots(beta1, c)
         assert len(ours) == len(ref)
         assert np.allclose(ours, ref, atol=1e-10)
+
+
+def test_equilibria_resolve_pairs_near_the_fold():
+    # 1e-10 below the fold tilt the merging pair sits ~3e-5 apart, closer
+    # than any fixed scan grid would resolve
+    c_fold = 0.55 * math.tanh(delta_critical(1.1, 0.55))
+    below = equilibria_1d(1.1, c_fold - 1e-10)
+    assert [k for _, k in below] == [STABLE, UNSTABLE, STABLE]
+    assert len(equilibria_1d(1.1, c_fold + 1e-10)) == 1
+
+
+def test_equilibria_tangent_root_counted_once():
+    c_fold = 0.55 * math.tanh(delta_critical(1.1, 0.55))
+    for k in range(-40, 41):
+        c = c_fold + k * 1e-18
+        ss = [r for r, _ in equilibria_1d(1.1, c)]
+        assert all(b > a for a, b in zip(ss, ss[1:]))
+        assert 1 <= len(ss) <= 3
+        s_turn = (-math.acosh(math.sqrt(1.1)) - c) / 1.1
+        if math.tanh(1.1 * s_turn + c) - s_turn == 0.0:
+            # the double root is a bracket end shared by two brackets
+            assert ss.count(s_turn) == 1 and len(ss) == 2
 
 
 def test_equilibria_rejects_negative_beta1():
