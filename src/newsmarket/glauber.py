@@ -26,6 +26,13 @@ is what makes the cross term a single, consistent energy.
 b_s and b_h accept either constants or callables of time; rates use the
 field value at the current event time (the fields vary slowly compared
 with the waiting times in every intended use).
+
+simulate_glauber consumes its RandomSource in blocks of uniforms, each
+block bitwise equal to the same number of scalar rng.exponential() and
+rng.uniform() draws taken alternately; the stream's state after the
+call is therefore unspecified, and callers that need more draws use a
+fresh stream (meanfield_compare gives each realization its own
+substream).
 """
 
 from __future__ import annotations
@@ -49,6 +56,12 @@ __all__ = [
     "simulate_glauber",
     "meanfield_compare",
 ]
+
+
+# Events per block of uniforms drawn in simulate_glauber: enough to spread
+# the cost of one numpy call thinly, few enough that a short run wastes
+# little.
+_BLOCK = 1024
 
 
 def _eval_field(field, t):
@@ -133,32 +146,46 @@ def _logistic(x: float) -> float:
     return e / (1.0 + e)
 
 
-def _rates(S, H, config, t):
-    """The four directional rates (S+2, S-2, H+2, H-2) at time t."""
+def _make_rates(config: SpinSystemConfig):
+    """rates(S, H, b_s, b_h) -> the four directional rates (S+2, S-2,
+    H+2, H-2), with beta, the couplings and the rate constants hoisted.
+
+    Each product below groups exactly as in the rate formula written
+    left to right, so the rates are the same floats however they are
+    called.
+    """
+    ns, nh = config.N_s, config.N_h
     beta = 1.0 / config.theta
-    js = config.J11 / config.N_s
-    jsh = config.J12 / config.N_h
-    jh = config.J22 / config.N_h
-    jhs = config.J21 / config.N_s
-    bs = _eval_field(config.b_s, t)
-    bh = _eval_field(config.b_h, t)
-    gs_up = js * (S + 1) + jsh * H + config.mu_s * bs
-    gs_dn = js * (S - 1) + jsh * H + config.mu_s * bs
-    gh_up = jh * (H + 1) + jhs * S + config.mu_h * bh
-    gh_dn = jh * (H - 1) + jhs * S + config.mu_h * bh
-    return (
-        config.w_s * 0.5 * (config.N_s - S) * _logistic(2.0 * beta * gs_up),
-        config.w_s * 0.5 * (config.N_s + S) * _logistic(-2.0 * beta * gs_dn),
-        config.w_h * 0.5 * (config.N_h - H) * _logistic(2.0 * beta * gh_up),
-        config.w_h * 0.5 * (config.N_h + H) * _logistic(-2.0 * beta * gh_dn),
-    )
+    two_beta = 2.0 * beta
+    js = config.J11 / ns
+    jsh = config.J12 / nh
+    jh = config.J22 / nh
+    jhs = config.J21 / ns
+    mu_s, mu_h = config.mu_s, config.mu_h
+    half_ws = config.w_s * 0.5
+    half_wh = config.w_h * 0.5
+
+    def rates(S, H, bs, bh):
+        gs_up = js * (S + 1) + jsh * H + mu_s * bs
+        gs_dn = js * (S - 1) + jsh * H + mu_s * bs
+        gh_up = jh * (H + 1) + jhs * S + mu_h * bh
+        gh_dn = jh * (H - 1) + jhs * S + mu_h * bh
+        return (
+            half_ws * (ns - S) * _logistic(two_beta * gs_up),
+            half_ws * (ns + S) * _logistic(-two_beta * gs_dn),
+            half_wh * (nh - H) * _logistic(two_beta * gh_up),
+            half_wh * (nh + H) * _logistic(-two_beta * gh_dn),
+        )
+
+    return rates
 
 
 def transition_rates(state: SpinMacroState, config: SpinSystemConfig,
                      t: float = 0.0):
     """Rates for S -> S+2, S -> S-2, H -> H+2, H -> H-2 at time t."""
     _check_state(state, config)
-    return _rates(state.S, state.H, config, t)
+    return _make_rates(config)(state.S, state.H, _eval_field(config.b_s, t),
+                               _eval_field(config.b_h, t))
 
 
 def equilibrium_distribution(config: SpinSystemConfig, t: float = 0.0):
@@ -203,6 +230,20 @@ class GlauberTrajectory:
     config: SpinSystemConfig
 
 
+def _block_draws(rng: RandomSource):
+    """Endless (waiting time, event uniform) pairs: the unit exponential
+    and the uniform that rng.exponential() and rng.uniform() would return
+    if called alternately, drawn _BLOCK pairs at a time.
+
+    np.log1p on the array gives the same bits as the scalar np.log1p in
+    rng.exponential(); math.log1p can differ in the last bit.
+    """
+    while True:
+        block = rng.uniform(2 * _BLOCK)
+        yield from zip((-np.log1p(-block[0::2])).tolist(),
+                       block[1::2].tolist())
+
+
 def simulate_glauber(config: SpinSystemConfig, horizon: float,
                      rng: RandomSource,
                      init: SpinMacroState | None = None,
@@ -214,6 +255,9 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     all-up state (S = N_s, H = N_h).  With sample_step the trajectory is
     recorded on the uniform grid k*sample_step (state held between
     events); otherwise every event is recorded.
+
+    rng is consumed in blocks of uniform draws, so its state after the
+    call is unspecified: pass a stream that nothing else draws from.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -223,41 +267,49 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
         init = SpinMacroState(S=config.N_s, H=config.N_h)
     _check_state(init, config)
 
+    rates = _make_rates(config)
+    # constant fields are read once; callables are called at each event
+    b_s, b_h = bs, bh = config.b_s, config.b_h
+    bs_varies, bh_varies = callable(b_s), callable(b_h)
     S, H = init.S, init.H
-    ns, nh = config.N_s, config.N_h
     t = 0.0
     n_events = 0
-    if sample_step is None:
-        ts, ss, hs = [0.0], [S], [H]
-    else:
+    ts, ss, hs = [0.0], [S], [H]
+    if sample_step is not None:
         n_samples = int(math.floor(horizon / sample_step)) + 1
         grid = sample_step * np.arange(n_samples)
-        ss = np.empty(n_samples)
-        hs = np.empty(n_samples)
-        ss[0], hs[0] = S, H
-        next_k = 1
+        # inf follows the last grid point; the length check in the hold
+        # loop stops it for an infinite waiting time too
+        grid_t = grid.tolist() + [math.inf]
+        next_t = grid_t[1]
 
-    while True:
-        r1, r2, r3, r4 = _rates(S, H, config, t)
-        total = r1 + r2 + r3 + r4
+    for wait, pick in _block_draws(rng):
+        if bs_varies:
+            bs = b_s(t)
+        if bh_varies:
+            bh = b_h(t)
+        r1, r2, r3, r4 = rates(S, H, bs, bh)
+        r12 = r1 + r2
+        r123 = r12 + r3
+        total = r123 + r4
         if not 0.0 < total < math.inf:
             raise ValueError(f"total flip rate {total} at t = {t} is not "
                              "positive and finite (check the fields b_s, "
                              "b_h)")
-        dt = float(rng.exponential()) / total
-        t_new = t + dt
+        t_new = t + wait / total
         if sample_step is not None:
-            while next_k < n_samples and grid[next_k] <= t_new:
-                ss[next_k], hs[next_k] = S, H
-                next_k += 1
+            while next_t <= t_new and len(ss) < n_samples:
+                ss.append(S)
+                hs.append(H)
+                next_t = grid_t[len(ss)]
         if t_new > horizon:
             break
-        u = float(rng.uniform()) * total
+        u = pick * total
         if u < r1:
             S += 2
-        elif u < r1 + r2:
+        elif u < r12:
             S -= 2
-        elif u < r1 + r2 + r3:
+        elif u < r123:
             H += 2
         else:
             H -= 2
@@ -270,12 +322,14 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
 
     if sample_step is None:
         times = np.asarray(ts)
-        s_arr = np.asarray(ss, dtype=float) / ns
-        h_arr = np.asarray(hs, dtype=float) / nh
     else:
         times = grid
-        s_arr = ss / ns
-        h_arr = hs / nh
+        # k*sample_step can round just above the horizon, and past the
+        # last waiting time; that point holds the final state
+        ss.extend([S] * (n_samples - len(ss)))
+        hs.extend([H] * (n_samples - len(hs)))
+    s_arr = np.asarray(ss, dtype=float) / config.N_s
+    h_arr = np.asarray(hs, dtype=float) / config.N_h
     return GlauberTrajectory(times=times, s=s_arr, h=h_arr,
                              n_events=n_events, config=config)
 

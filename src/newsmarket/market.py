@@ -80,7 +80,7 @@ def _daily_path(drifts, s: float, h: float, days: int, substeps: int,
     """`days` daily samples of (s, h) from the initial state, one day per
     drift closure in drifts, each day `substeps` RK4 steps of size dt.
 
-    Raises once |s| or |h| exceeds 1 by more than the slack.  Forward in
+    Raises once |s| or |h| exceeds 1 by more than the slack or is NaN.  Forward in
     time the drift points inward on the boundary, so that is a step-size
     failure; in reverse time it is an orbit escaping the physical box.
     """
@@ -92,7 +92,7 @@ def _daily_path(drifts, s: float, h: float, days: int, substeps: int,
     for d, f in enumerate(drifts):
         for _ in range(substeps):
             s, h = _rk4_step(f, s, h, dt)
-            if abs(s) > lim or abs(h) > lim:
+            if not (abs(s) <= lim and abs(h) <= lim):
                 raise RuntimeError(
                     f"integrator failure at day {d}: state left [-1, 1] "
                     f"(s = {s}, h = {h})")

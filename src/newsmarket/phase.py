@@ -34,7 +34,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .core import _BOUND_SLACK, MarketState, ModelParams, Series
+from .core import _BOUND_SLACK, MarketState, ModelParams, Series, validate
 from .market import SIMPLIFIED, _daily_path, _make_drift, _rk4_step
 from .sentiment import equilibria_1d
 
@@ -251,6 +251,7 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     simulator, so a noise-free simulation from the same state produces
     the identical path.
     """
+    validate(params)
     if days < 1:
         raise ValueError("days must be >= 1")
     if substeps < 1:
@@ -276,6 +277,7 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     backward in time, which turns unstable cycles into attractors; orbits
     may then leave [-1, 1], which ends the search with exists False.
     """
+    validate(params)
     if max_days < 1:
         raise ValueError("max_days must be >= 1")
     if substeps < 1:
@@ -295,8 +297,9 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
         s0, g0 = s, h - h_section
         s, h = _rk4_step(f, s, h, step)
         t += dt
-        if abs(s) > lim or abs(h) > lim:
-            # Reverse-time escape from the physical box: nothing closed here.
+        if not (abs(s) <= lim and abs(h) <= lim):
+            # Reverse-time escape from the physical box (or a NaN state):
+            # nothing closed here.
             return LimitCycleReport(False, 0.0, (smin, smax), crossings,
                                     stable=not reverse)
         if s < smin:

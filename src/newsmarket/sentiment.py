@@ -145,6 +145,9 @@ def equilibria_1d(beta1: float, c: float) -> list:
     as is, once.  A root is stable when d/ds[tanh(beta1*s + c) - s] < 0
     there.  Returns (s_root, "stable"|"unstable") sorted by s.
     """
+    for name, value in (("beta1", beta1), ("c", c)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if beta1 < 0:
         raise ValueError("beta1 must be non-negative")
     inner = set()

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from newsmarket.core import RandomSource
 from newsmarket.glauber import (
+    _BLOCK,
     GlauberTrajectory,
     SpinMacroState,
     SpinSystemConfig,
@@ -190,6 +191,89 @@ def test_grid_sampling_holds_state():
     idx = np.searchsorted(events.times, grid.times, side="right") - 1
     assert np.array_equal(grid.s, events.s[idx])
     assert np.array_equal(grid.h, events.h[idx])
+
+
+def scalar_event_loop(config, horizon, rng, init=None, sample_step=None):
+    """Reference direct-method loop: one rng.exponential() per waiting
+    time, one rng.uniform() per event choice, rates from
+    transition_rates at the event time."""
+    if init is None:
+        init = SpinMacroState(S=config.N_s, H=config.N_h)
+    S, H = init.S, init.H
+    t = 0.0
+    n_events = 0
+    ts, ss, hs = [0.0], [S], [H]
+    if sample_step is not None:
+        n_samples = int(math.floor(horizon / sample_step)) + 1
+        grid = sample_step * np.arange(n_samples)
+        ss = np.empty(n_samples)
+        hs = np.empty(n_samples)
+        ss[0], hs[0] = S, H
+        next_k = 1
+    while True:
+        r1, r2, r3, r4 = transition_rates(SpinMacroState(S, H), config, t)
+        total = r1 + r2 + r3 + r4
+        t_new = t + float(rng.exponential()) / total
+        if sample_step is not None:
+            while next_k < n_samples and grid[next_k] <= t_new:
+                ss[next_k], hs[next_k] = S, H
+                next_k += 1
+        if t_new > horizon:
+            break
+        u = float(rng.uniform()) * total
+        if u < r1:
+            S += 2
+        elif u < r1 + r2:
+            S -= 2
+        elif u < r1 + r2 + r3:
+            H += 2
+        else:
+            H -= 2
+        t = t_new
+        n_events += 1
+        if sample_step is None:
+            ts.append(t)
+            ss.append(S)
+            hs.append(H)
+    times = np.asarray(ts) if sample_step is None else grid
+    return (times, np.asarray(ss, dtype=float) / config.N_s,
+            np.asarray(hs, dtype=float) / config.N_h, n_events)
+
+
+DRIVEN = SpinSystemConfig(N_s=8, N_h=4, J11=1.2, J12=0.5, J21=1.0, J22=0.3,
+                          mu_s=0.7, mu_h=0.4, theta=0.9,
+                          b_s=lambda t: 0.3 * math.sin(0.5 * t),
+                          b_h=lambda t: -0.2 * math.cos(t))
+LARGE = SpinSystemConfig(N_s=1000, N_h=100, J11=1.1, J12=0.55, J21=5.5,
+                         theta=1.0, w_s=0.04, w_h=0.4)
+
+
+@given(config=st.sampled_from([DB, DRIVEN, LARGE]),
+       horizon=st.sampled_from([0.05, 3.0, 2000.0]),
+       sample_step=st.sampled_from([None, 0.7, 10.0]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       start=st.sampled_from(["all-up", "zero"]))
+@settings(max_examples=40, deadline=None)
+def test_event_loop_matches_scalar_draws_bitwise(config, horizon,
+                                                 sample_step, seed, start):
+    init = None if start == "all-up" else SpinMacroState(
+        config.N_s % 2, config.N_h % 2)
+    run = simulate_glauber(config, horizon, RandomSource(seed), init,
+                           sample_step)
+    times, s, h, n_events = scalar_event_loop(config, horizon,
+                                              RandomSource(seed), init,
+                                              sample_step)
+    assert run.n_events == n_events
+    assert np.array_equal(run.times, times)
+    assert np.array_equal(run.s, s)
+    assert np.array_equal(run.h, h)
+
+
+def test_event_loop_parity_spans_several_blocks():
+    # the longest horizon above crosses block boundaries for every config
+    for config in (DB, DRIVEN, LARGE):
+        run = simulate_glauber(config, 2000.0, RandomSource(0))
+        assert run.n_events > 2 * _BLOCK
 
 
 def test_simulate_errors():

@@ -259,6 +259,35 @@ def test_detect_errors():
         detect_limit_cycle(MAIN, MarketState(0.0, 0.0), 10, substeps=0)
 
 
+PARAM_FIELDS = ("w_s", "w_h", "beta1", "beta2", "beta3", "beta4", "gamma",
+                "delta", "kappa", "a1", "a2", "a4", "s_star", "h_bar")
+
+
+@given(name=st.sampled_from(PARAM_FIELDS),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       cycle=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_autonomous_integrators_reject_non_finite_params(name, value, cycle):
+    # before validation a NaN gamma ran all of max_days on NaN states and
+    # reported exists=False
+    params = MAIN.replace(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        if cycle:
+            detect_limit_cycle(params, MarketState(0.9, 0.0), 2000)
+        else:
+            integrate_autonomous(params, MarketState(0.9, 0.0), 100)
+
+
+@given(w_s=st.floats(min_value=1e300, max_value=1e308))
+@settings(max_examples=20, deadline=None)
+def test_overflow_to_nan_stops_at_the_first_day(w_s):
+    # finite but absurd rates overflow the RK4 sums to NaN; the bound
+    # check must catch NaN, not let it run to the end
+    with pytest.raises(RuntimeError, match="day 0"):
+        integrate_autonomous(MAIN.replace(w_s=w_s), MarketState(0.9, 0.0),
+                             100)
+
+
 def test_bifurcation_sweep_gamma():
     rows, trans = bifurcation_sweep(SYM, "gamma", (40.0, 90.0), 6)
     assert len(rows) == 6

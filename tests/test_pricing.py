@@ -1,5 +1,7 @@
 """Price construction, OLS calibration, and the windowed temperature fit."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,9 @@ def test_initial_sentiment_branches():
     # strong negative drive: only the pessimistic branch remains
     neg = initial_sentiment(1.1, 0.55, -0.8)
     assert neg < -0.8
+    # a NaN drive has no equilibrium: a named error, not an IndexError
+    with pytest.raises(ValueError, match="c must be finite"):
+        initial_sentiment(1.1, 1.0, math.nan)
 
 
 def _ar1(rng, coef, innov, n, clip):

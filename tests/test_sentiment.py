@@ -189,6 +189,16 @@ def test_equilibria_rejects_negative_beta1():
         equilibria_1d(-0.1, 0.0)
 
 
+@given(name=st.sampled_from(["beta1", "c"]),
+       value=st.sampled_from([math.nan, math.inf, -math.inf]),
+       other=st.floats(min_value=0.0, max_value=2.0))
+@settings(max_examples=40, deadline=None)
+def test_equilibria_reject_non_finite_inputs(name, value, other):
+    args = {"beta1": other, "c": other, name: value}
+    with pytest.raises(ValueError, match=name):
+        equilibria_1d(**args)
+
+
 @given(beta1=st.floats(min_value=0.0, max_value=2.0, allow_nan=False),
        c=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=120, deadline=None)
