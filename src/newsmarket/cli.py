@@ -14,79 +14,26 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, analytics, market, phase, sentiment
-from .core import (MarketState, ModelParams, RandomSource, Series,
-                   _PARAM_FIELDS, load_params, parse_kv_file, read_series,
-                   write_series)
+from .core import (MarketState, ModelParams, RandomSource, _PARAM_FIELDS,
+                   _fields_line, _fmt, _load_record, _write_report,
+                   _write_table, load_params, read_series, write_series)
 from .glauber import (SpinMacroState, SpinSystemConfig, meanfield_compare,
                       simulate_glauber)
 from .pricing import initial_sentiment, price_from_sentiment
 
 __all__ = ["main"]
 
-_SPIN_FIELDS = ("N_s", "N_h", "J11", "J12", "J21", "J22", "mu_s", "mu_h",
-                "theta", "w_s", "w_h", "b_s", "b_h")
-
-
-def _fmt(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    # repr of a float is the shortest exact round-trip form.
-    return repr(float(v))
-
-
-def _params_line(params: ModelParams) -> str:
-    return "params: " + " ".join(
-        f"{k}={_fmt(getattr(params, k))}" for k in _PARAM_FIELDS)
-
-
-def _config_line(config: SpinSystemConfig) -> str:
-    return "config: " + " ".join(
-        f"{k}={_fmt(getattr(config, k))}" for k in _SPIN_FIELDS)
+_SPIN_FIELDS = tuple(f.name for f in fields(SpinSystemConfig))
 
 
 def _header(command: str, *extra: str) -> list:
     return [f"newsmarket {__version__}", f"command: {command}", *extra]
-
-
-def _write_table(path, header: list, columns: list) -> None:
-    """columns is a list of (name, values); all values equal length."""
-    names = [c[0] for c in columns]
-    cols = [c[1] for c in columns]
-    lines = [f"# {h}" for h in header]
-    lines.append(",".join(names))
-    for row in zip(*cols):
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _write_report(path, header: list, items: list) -> None:
-    lines = [f"# {h}" for h in header]
-    lines += [f"{k} = {_fmt(v)}" for k, v in items]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def _load_spin_config(path) -> SpinSystemConfig:
-    raw = parse_kv_file(path)
-    unknown = sorted(set(raw) - set(_SPIN_FIELDS))
-    if unknown:
-        raise ValueError(f"{path}: unknown config keys: {', '.join(unknown)}")
-    kwargs = dict(raw)
-    for key in ("N_s", "N_h"):
-        if key not in kwargs:
-            raise ValueError(f"{path}: missing required key {key}")
-        if kwargs[key] != int(kwargs[key]):
-            raise ValueError(f"{path}: {key} must be an integer")
-        kwargs[key] = int(kwargs[key])
-    return SpinSystemConfig(**kwargs)
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +49,13 @@ def cmd_simulate_empirical(args) -> int:
     s = sentiment.integrate_sentiment(h_series, s0, params,
                                       substeps=args.substeps)
     p = price_from_sentiment(s, params)
-    head = _header("simulate-empirical", _params_line(params),
+    head = _header("simulate-empirical", _fields_line("params", params,
+                                                      _PARAM_FIELDS),
                    f"input: {Path(args.input).name}",
                    f"init_s: {_fmt(s0)}")
-    _write_table(args.out, head, [
-        ("date_index", s.times().astype(int)),
-        ("H", h_series.values),
-        ("s", s.values),
-        ("p", p.values),
-    ])
+    _write_table(args.out, head, ("date_index", "H", "s", "p"),
+                 zip(s.times().astype(int), h_series.values, s.values,
+                     p.values))
     return 0
 
 
@@ -143,21 +88,17 @@ def cmd_simulate_theory(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    base = _header("simulate-theory", _params_line(params),
+    base = _header("simulate-theory",
+                   _fields_line("params", params, _PARAM_FIELDS),
                    f"seed: {args.seed}")
     for i, run in enumerate(runs):
         head = base + [f"realization: {i} (stream {run.stream_id})"]
-        _write_table(out_dir / f"run_{i:03d}.csv", head, [
-            ("date_index", run.s.times().astype(int)),
-            ("s", run.s.values),
-            ("h", run.h.values),
-            ("p", run.p.values),
-        ])
-    _write_table(out_dir / "ensemble_mean.csv",
-                 base + [f"realizations: {args.realizations}"], [
-                     ("date_index", mean.times().astype(int)),
-                     ("mean_s", mean.values),
-                 ])
+        _write_table(out_dir / f"run_{i:03d}.csv", head,
+                     ("date_index", "s", "h", "p"),
+                     zip(run.s.times().astype(int), run.s.values,
+                         run.h.values, run.p.values))
+    write_series(out_dir / "ensemble_mean.csv", mean, label="mean_s",
+                 header=base + [f"realizations: {args.realizations}"])
     _write_report(out_dir / "manifest.txt", _header("simulate-theory"), [
         ("version", __version__),
         ("seed", args.seed),
@@ -175,20 +116,17 @@ def cmd_simulate_theory(args) -> int:
 
 def cmd_analyze(args) -> int:
     params = load_params(args.params)
-    head = _header(f"analyze {args.task}", _params_line(params))
+    head = _header(f"analyze {args.task}",
+                   _fields_line("params", params, _PARAM_FIELDS))
 
     if args.task == "equilibria":
-        pts = phase.find_equilibria(params)
-        _write_table(args.out, head, [
-            ("s_star", [p.s_star_pt for p in pts]),
-            ("h_star", [p.h_star_pt for p in pts]),
-            ("branch", [p.branch for p in pts]),
-            ("class", [p.stability for p in pts]),
-            ("re_lambda_plus", [p.eigenvalues[0].real for p in pts]),
-            ("im_lambda_plus", [p.eigenvalues[0].imag for p in pts]),
-            ("re_lambda_minus", [p.eigenvalues[1].real for p in pts]),
-            ("im_lambda_minus", [p.eigenvalues[1].imag for p in pts]),
-        ])
+        _write_table(args.out, head, (
+            "s_star", "h_star", "branch", "class", "re_lambda_plus",
+            "im_lambda_plus", "re_lambda_minus", "im_lambda_minus",
+        ), [(p.s_star_pt, p.h_star_pt, p.branch, p.stability,
+             p.eigenvalues[0].real, p.eigenvalues[0].imag,
+             p.eigenvalues[1].real, p.eigenvalues[1].imag)
+            for p in phase.find_equilibria(params)])
         return 0
 
     if args.task == "thresholds":
@@ -201,13 +139,9 @@ def cmd_analyze(args) -> int:
         if not rows:
             raise ValueError("no branch admits node/focus transitions")
         _write_table(args.out,
-                     head + ["gamma units: multiply by w_s for gamma_bar"], [
-                         ("branch", [r[0] for r in rows]),
-                         ("s_star", [r[1] for r in rows]),
-                         ("gamma_node_focus", [r[2] for r in rows]),
-                         ("gamma_focus_unstable", [r[3] for r in rows]),
-                         ("gamma_unstable_node", [r[4] for r in rows]),
-                     ])
+                     head + ["gamma units: multiply by w_s for gamma_bar"],
+                     ("branch", "s_star", "gamma_node_focus",
+                      "gamma_focus_unstable", "gamma_unstable_node"), rows)
         return 0
 
     if args.task == "sweep":
@@ -217,17 +151,9 @@ def cmd_analyze(args) -> int:
         extra = [f"sweep: {args.sweep} from {lo} to {hi} in {args.steps} steps"]
         extra += [f"transition: {br} {_fmt(v0)}->{_fmt(v1)} {c0}->{c1}"
                   for v0, v1, br, c0, c1 in transitions]
-        value_col, branch_col, class_col = [], [], []
-        for v, classes in rows:
-            for br in sorted(classes):
-                value_col.append(v)
-                branch_col.append(br)
-                class_col.append(classes[br])
-        _write_table(args.out, head + extra, [
-            (args.sweep, value_col),
-            ("branch", branch_col),
-            ("class", class_col),
-        ])
+        _write_table(args.out, head + extra, (args.sweep, "branch", "class"),
+                     [(v, br, classes[br]) for v, classes in rows
+                      for br in sorted(classes)])
         return 0
 
     if args.task == "limit-cycle":
@@ -252,13 +178,10 @@ def cmd_analyze(args) -> int:
     if args.task == "heatmap":
         grid = np.linspace(-1.0, 1.0, args.grid)
         values = market.noise_dominance_map(params, grid, grid)
-        s_col = np.repeat(grid, args.grid)
-        h_col = np.tile(grid, args.grid)
-        _write_table(args.out, head + [f"grid: {args.grid}x{args.grid}"], [
-            ("s", s_col),
-            ("h", h_col),
-            ("feedback_to_noise", values.ravel()),
-        ])
+        _write_table(args.out, head + [f"grid: {args.grid}x{args.grid}"],
+                     ("s", "h", "feedback_to_noise"),
+                     zip(np.repeat(grid, args.grid), np.tile(grid, args.grid),
+                         values.ravel()))
         return 0
 
     if args.task == "potential":
@@ -266,18 +189,17 @@ def cmd_analyze(args) -> int:
                                        grid_size=args.grid)
         extra = [f"extremum: s={_fmt(s)} kind={kind}"
                  for s, kind in curve.extrema]
-        _write_table(args.out, head + extra, [
-            ("s", curve.s_grid),
-            ("potential", curve.u_values),
-        ])
+        _write_table(args.out, head + extra, ("s", "potential"),
+                     zip(curve.s_grid, curve.u_values))
         return 0
 
     raise ValueError(f"unknown analyze task {args.task!r}")
 
 
 def cmd_glauber(args) -> int:
-    config = _load_spin_config(args.params)
-    head = _header(f"glauber {args.task}", _config_line(config),
+    config = _load_record(args.params, SpinSystemConfig, ints=("N_s", "N_h"))
+    head = _header(f"glauber {args.task}",
+                   _fields_line("config", config, _SPIN_FIELDS),
                    f"seed: {args.seed}")
     rng = RandomSource(args.seed)
     init = None
@@ -287,33 +209,28 @@ def cmd_glauber(args) -> int:
             H=args.init_H if args.init_H is not None else config.N_h)
 
     if args.task == "trajectory":
-        step = args.sample_step
+        if args.realizations < 1:
+            raise ValueError("realizations must be >= 1")
+        out = Path(args.out)
         if args.realizations == 1:
-            traj = simulate_glauber(config, args.horizon, rng, init, step)
-            _write_table(args.out,
-                         head + [f"events: {traj.n_events}"], [
-                             ("t", traj.times),
-                             ("s", traj.s),
-                             ("h", traj.h),
-                         ])
+            runs = [(out, rng, [])]
         else:
-            out_dir = Path(args.out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            for i in range(args.realizations):
-                traj = simulate_glauber(config, args.horizon,
-                                        rng.substream(i), init, step)
-                _write_table(out_dir / f"run_{i:03d}.csv",
-                             head + [f"realization: {i}",
-                                     f"events: {traj.n_events}"], [
-                                 ("t", traj.times),
-                                 ("s", traj.s),
-                                 ("h", traj.h),
-                             ])
+            out.mkdir(parents=True, exist_ok=True)
+            runs = [(out / f"run_{i:03d}.csv", rng.substream(i),
+                     [f"realization: {i}"])
+                    for i in range(args.realizations)]
+        for path, stream, extra in runs:
+            traj = simulate_glauber(config, args.horizon, stream, init,
+                                    args.sample_step)
+            _write_table(path, head + extra + [f"events: {traj.n_events}"],
+                         ("t", "s", "h"), zip(traj.times, traj.s, traj.h))
         return 0
 
     if args.task == "meanfield":
         report = meanfield_compare(config, args.horizon, args.realizations,
-                                   rng, init, args.sample_step or 1.0)
+                                   rng, init,
+                                   1.0 if args.sample_step is None
+                                   else args.sample_step)
         _write_report(args.out, head + [
             f"horizon: {_fmt(args.horizon)}",
             f"realizations: {args.realizations}",
@@ -366,20 +283,14 @@ def cmd_stats(args) -> int:
             f"bins: {args.bins}",
             f"normalized: {_fmt(not args.raw)}",
             f"samples: {len(x)}",
-        ], [
-            ("bin_left", edges[:-1]),
-            ("bin_right", edges[1:]),
-            ("density", density),
-        ])
+        ], ("bin_left", "bin_right", "density"),
+            zip(edges[:-1], edges[1:], density))
         return 0
 
     if args.task == "acf":
-        rows = analytics.autocorrelation(x, args.max_lag)
-        _write_table(args.out, head + [f"samples: {len(x)}"], [
-            ("lag", [r[0] for r in rows]),
-            ("acf", [r[1] for r in rows]),
-            ("band", [r[2] for r in rows]),
-        ])
+        _write_table(args.out, head + [f"samples: {len(x)}"],
+                     ("lag", "acf", "band"),
+                     analytics.autocorrelation(x, args.max_lag))
         return 0
 
     if args.task == "volatility":

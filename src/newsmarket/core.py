@@ -3,12 +3,20 @@
 Everything downstream (sentiment integration, the closed market model,
 phase analysis, the spin-kinetics oracle) shares these carriers.  Time is
 measured in business days throughout; rates are per business day.
+
+Plain-text interfaces: every file the package reads or writes is built
+here from `#` header lines plus either `name = value` lines (parameter
+and spin-config records, reports) or comma-separated rows under a row of
+column names (`date_index,value` series, tables).  Record loaders reject
+unknown, missing and duplicate keys and non-integral integer fields by
+name.  Values are written as ints, true/false, or the shortest
+round-trip float repr, so identical runs give identical bytes.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +38,11 @@ __all__ = [
 _BOUND_SLACK = 1e-9
 # Absolute root tolerance of every brentq solve in the package.
 _ROOT_XTOL = 1e-12
+
+# ModelParams fields in output order (the order of params lines and
+# manifests), which differs from the dataclass's declaration order.
+_PARAM_FIELDS = ("w_s", "w_h", "beta1", "beta2", "beta3", "beta4", "gamma",
+                 "delta", "kappa", "a1", "a2", "a4", "s_star", "h_bar")
 
 
 @dataclass(frozen=True)
@@ -96,9 +109,7 @@ class ModelParams:
             bad.append("a2 must be positive")
         if abs(self.s_star) > 1:
             bad.append("s_star must lie in [-1, 1]")
-        for name in ("w_s", "w_h", "beta1", "beta2", "beta3", "beta4",
-                     "gamma", "delta", "kappa", "a1", "a2", "a4",
-                     "s_star", "h_bar"):
+        for name in _PARAM_FIELDS:
             if not math.isfinite(getattr(self, name)):
                 bad.append(f"{name} must be finite")
         return bad
@@ -228,10 +239,11 @@ class RandomSource:
 def parse_kv_file(path) -> dict[str, float]:
     """Parse a `name = value` config file; `#` starts a comment.
 
-    Returns the raw name -> float mapping.  Malformed lines raise with the
-    line number.
+    Returns the raw name -> float mapping.  Malformed lines and repeated
+    keys raise with the line number.
     """
     out: dict[str, float] = {}
+    first_line: dict[str, int] = {}
     text = Path(path).read_text()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -241,6 +253,10 @@ def parse_kv_file(path) -> dict[str, float]:
             raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
         name, _, value = line.partition("=")
         name = name.strip()
+        if name in first_line:
+            raise ValueError(f"{path}: line {lineno}: duplicate key {name!r} "
+                             f"(first set on line {first_line[name]})")
+        first_line[name] = lineno
         try:
             out[name] = float(value.strip())
         except ValueError:
@@ -250,18 +266,35 @@ def parse_kv_file(path) -> dict[str, float]:
     return out
 
 
-_PARAM_FIELDS = ("w_s", "w_h", "beta1", "beta2", "beta3", "beta4", "gamma",
-                 "delta", "kappa", "a1", "a2", "a4", "s_star", "h_bar")
+def _load_record(path, cls, ints=(), **overrides):
+    """Build the dataclass cls from a `name = value` file.
+
+    overrides replace file values.  Unknown keys, missing required keys
+    (fields without a default) and non-integral values of the fields
+    named in ints raise ValueError naming the key.
+    """
+    raw = parse_kv_file(path)
+    raw.update(overrides)
+    unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"{path}: unknown keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise ValueError(
+            f"{path}: missing required keys: {', '.join(missing)}")
+    for key in ints:
+        if key in raw:
+            if not float(raw[key]).is_integer():
+                raise ValueError(f"{path}: {key} must be an integer")
+            raw[key] = int(raw[key])
+    return cls(**raw)
 
 
 def load_params(path, **overrides) -> ModelParams:
-    """Load ModelParams from a key/value file.  Unknown keys are errors."""
-    raw = parse_kv_file(path)
-    raw.update(overrides)
-    unknown = sorted(set(raw) - set(_PARAM_FIELDS))
-    if unknown:
-        raise ValueError(f"{path}: unknown parameter keys: {', '.join(unknown)}")
-    return validate(ModelParams(**raw))
+    """Load ModelParams from a key/value file.  Unknown, missing and
+    duplicate keys are errors, as is any invariant validate() checks."""
+    return validate(_load_record(path, ModelParams, **overrides))
 
 
 def read_series(path, column=None) -> Series:
@@ -325,11 +358,45 @@ def read_series(path, column=None) -> Series:
 
 def write_series(path, series: Series, label: str = "value",
                  header: list[str] | None = None) -> None:
-    """Write a Series as `date_index,<label>` CSV with `#` header lines."""
-    lines = [f"# {h}" for h in (header or [])]
-    lines.append(f"date_index,{label}")
+    """Write a Series as `date_index,<label>` CSV with `#` header lines;
+    indices are ints when the step is integral."""
     t = series.times()
-    for ti, vi in zip(t, series.values):
-        ts = f"{int(ti)}" if series.step == int(series.step) else repr(float(ti))
-        lines.append(f"{ts},{repr(float(vi))}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    if series.step.is_integer():
+        t = t.astype(int)
+    _write_table(path, header or [], ("date_index", label),
+                 zip(t.tolist(), series.values.tolist()))
+
+
+def _fmt(v) -> str:
+    """One value as written to every output file."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, (bool, np.bool_)):
+        return "true" if v else "false"
+    if isinstance(v, (int, np.integer)):
+        return str(int(v))
+    # repr of a float is the shortest exact round-trip form.
+    return repr(float(v))
+
+
+def _fields_line(label: str, record, names) -> str:
+    """`label: name=value ...` over the named fields of record."""
+    return f"{label}: " + " ".join(
+        f"{k}={_fmt(getattr(record, k))}" for k in names)
+
+
+def _write_text(path, header, lines) -> None:
+    """Write `# `-prefixed header lines, then lines, newline-terminated."""
+    Path(path).write_text(
+        "\n".join([f"# {h}" for h in header] + lines) + "\n")
+
+
+def _write_table(path, header, names, rows) -> None:
+    """CSV table: header comments, the column names, one line per row."""
+    _write_text(path, header, [",".join(names)] + [
+        ",".join(map(_fmt, row)) for row in rows])
+
+
+def _write_report(path, header, items) -> None:
+    """`name = value` report, one line per (name, value) item."""
+    _write_text(path, header, [f"{k} = {_fmt(v)}" for k, v in items])

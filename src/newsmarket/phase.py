@@ -276,6 +276,9 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     least min_amplitude over the final loop.  reverse=True integrates
     backward in time, which turns unstable cycles into attractors; orbits
     may then leave [-1, 1], which ends the search with exists False.
+    Forward in time the drift points inward on the boundary, so leaving
+    the box (or a NaN state) is an integrator failure and raises
+    RuntimeError.
     """
     validate(params)
     if max_days < 1:
@@ -293,15 +296,18 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     prev_t_c = None
     crossings = 0
     smin = smax = s
-    for _ in range(int(max_days) * substeps):
+    for k in range(int(max_days) * substeps):
         s0, g0 = s, h - h_section
         s, h = _rk4_step(f, s, h, step)
         t += dt
         if not (abs(s) <= lim and abs(h) <= lim):
-            # Reverse-time escape from the physical box (or a NaN state):
-            # nothing closed here.
+            if not reverse:
+                raise RuntimeError(
+                    f"integrator failure at day {k // substeps}: state left "
+                    f"[-1, 1] (s = {s}, h = {h})")
+            # Reverse-time escape from the physical box: nothing closed here.
             return LimitCycleReport(False, 0.0, (smin, smax), crossings,
-                                    stable=not reverse)
+                                    stable=False)
         if s < smin:
             smin = s
         elif s > smax:

@@ -1,10 +1,15 @@
 """End-to-end command-line runs, parsed back and checked against the API."""
 
+import contextlib
+import io
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newsmarket import analytics, phase
 from newsmarket.cli import main
@@ -351,6 +356,55 @@ def test_glauber_rejects_bad_config(tmp_path, capsys):
                  "--horizon", "1.0", "--out", str(tmp_path / "o.csv")])
     assert code == 1
     assert "N_s" in capsys.readouterr().err
+
+
+def test_missing_required_param_names_the_key(capsys, tmp_path, h_file):
+    bad = tmp_path / "no_ws.txt"
+    bad.write_text(MAIN_TEXT.replace("w_s = 0.04\n", ""))
+    code = main(["simulate-empirical", "--input", str(h_file),
+                 "--params", str(bad), "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "missing required keys: w_s" in err
+
+
+@given(key=st.sampled_from(["N_s", "N_h"]),
+       value=st.one_of(
+           st.sampled_from([math.inf, -math.inf, math.nan]),
+           st.floats(min_value=-1e6, max_value=1e6).filter(
+               lambda v: not v.is_integer())))
+@settings(max_examples=40, deadline=None)
+def test_glauber_rejects_non_integral_sizes(tmp_path_factory, key, value):
+    # inf used to escape as OverflowError, nan as a message without the key
+    f = tmp_path_factory.mktemp("cfg") / "spins.txt"
+    line = {"N_s": "N_s = 50", "N_h": "N_h = 10"}[key]
+    f.write_text(SPIN_TEXT.replace(line, f"{key} = {value!r}"))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["glauber", "trajectory", "--params", str(f),
+                     "--horizon", "1.0", "--out", str(f.with_suffix(".csv"))])
+    assert code == 1
+    assert f"{key} must be an integer" in err.getvalue()
+
+
+def test_glauber_trajectory_rejects_zero_realizations(spin_file, tmp_path,
+                                                      capsys):
+    out = tmp_path / "runs"
+    code = main(["glauber", "trajectory", "--params", str(spin_file),
+                 "--horizon", "1.0", "--realizations", "0",
+                 "--out", str(out)])
+    assert code == 1
+    assert "realizations must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_glauber_meanfield_rejects_zero_sample_step(spin_file, tmp_path,
+                                                    capsys):
+    code = main(["glauber", "meanfield", "--params", str(spin_file),
+                 "--horizon", "1.0", "--sample-step", "0",
+                 "--out", str(tmp_path / "mf.txt")])
+    assert code == 1
+    assert "sample_step must be positive" in capsys.readouterr().err
 
 
 def make_price_file(tmp_path):

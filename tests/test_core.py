@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsmarket import cli
 from newsmarket.core import (
     MarketState,
     ModelParams,
@@ -125,6 +126,10 @@ def test_parse_kv_file(tmp_path):
     f.write_text("a = x\n")
     with pytest.raises(ValueError, match="line 1"):
         parse_kv_file(f)
+    f.write_text("beta1 = 1.1\nw_s = 0.04\nbeta1 = 1.2\n")
+    with pytest.raises(ValueError, match="line 3: duplicate key 'beta1' "
+                                         r"\(first set on line 1\)"):
+        parse_kv_file(f)
 
 
 def test_load_params(tmp_path):
@@ -146,6 +151,31 @@ def test_series_round_trip(tmp_path):
     back = read_series(f)
     assert np.array_equal(back.values, src.values)
     assert back.start_index == 4 and back.step == 1.0
+
+
+def test_write_series_exact_bytes_at_half_day_step(tmp_path):
+    f = tmp_path / "half.csv"
+    src = Series([0.1, 1.0 / 3.0, -2.0, 1e-300], start_index=3, step=0.5)
+    write_series(f, src, label="x", header=["demo", "step: 0.5"])
+    assert f.read_bytes() == (b"# demo\n# step: 0.5\ndate_index,x\n"
+                              b"3.0,0.1\n3.5,0.3333333333333333\n"
+                              b"4.0,-2.0\n4.5,1e-300\n")
+    back = read_series(f)
+    assert np.array_equal(back.values, src.values)
+    assert (back.start_index, back.step) == (3, 0.5)
+
+
+def test_report_exact_bytes(tmp_path):
+    f = tmp_path / "report.txt"
+    cli._write_report(f, ["newsmarket test", "command: demo"], [
+        ("flag", True), ("np_flag", np.bool_(False)), ("n", 7),
+        ("np_n", np.int64(-3)), ("x", 0.1), ("np_x", np.float64(2.5e-8)),
+        ("whole", 56.0), ("name", "none"),
+    ])
+    assert f.read_bytes() == (b"# newsmarket test\n# command: demo\n"
+                              b"flag = true\nnp_flag = false\nn = 7\n"
+                              b"np_n = -3\nx = 0.1\nnp_x = 2.5e-08\n"
+                              b"whole = 56.0\nname = none\n")
 
 
 def test_read_series_column_selection(tmp_path):

@@ -288,6 +288,19 @@ def test_overflow_to_nan_stops_at_the_first_day(w_s):
                              100)
 
 
+def test_box_exit_fails_forward_and_ends_the_search_in_reverse():
+    # forward in time the drift points inward on the boundary, so an exit
+    # is an integrator failure, as in integrate_autonomous; it used to be
+    # reported as exists=False after one step
+    params = MAIN.replace(w_s=1e300)
+    with pytest.raises(RuntimeError, match="integrator failure at day 0"):
+        detect_limit_cycle(params, MarketState(0.9, 0.0), 100)
+    rep = detect_limit_cycle(params, MarketState(0.9, 0.0), 100,
+                             reverse=True)
+    assert not rep.exists and not rep.stable
+    assert rep.convergence_iterations == 0
+
+
 def test_bifurcation_sweep_gamma():
     rows, trans = bifurcation_sweep(SYM, "gamma", (40.0, 90.0), 6)
     assert len(rows) == 6
