@@ -6,9 +6,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import stats
 
 from .core import Series
+
+_EPS = np.finfo(float).eps
 
 __all__ = [
     "log_returns",
@@ -43,27 +44,42 @@ def log_returns(p: Series, horizon_days: int) -> Series:
                   step=p.step)
 
 
+def _shape_moments(x: np.ndarray) -> tuple:
+    """(skewness, excess_kurtosis) of x by the biased moment ratios.
+
+    The operations are scipy.stats.skew and kurtosis(bias=True)'s, in
+    their order, so the results are bitwise equal to theirs.  A sample
+    whose second central moment is at or below (eps * mean)**2, scipy's
+    test, varies only in its last bits and raises ValueError.
+    """
+    mean = np.mean(x, keepdims=True)
+    d = x - mean
+    d2 = d**2
+    m2 = np.mean(d2)
+    if m2 <= (_EPS * mean[0])**2:
+        raise ValueError("zero variance at float precision: skewness "
+                         "and kurtosis are undefined")
+    return (float(np.mean(d2 * d) / m2**1.5),
+            float(np.mean(d2**2) / m2**2.0 - 3))
+
+
 def distribution_stats(returns: Series, normalize: bool = False):
     """(mean, variance, skewness, excess_kurtosis) of a sample.
 
     Variance uses the n-1 convention; skewness and excess kurtosis are
     the plain moment-ratio estimators.  normalize first rescales the
     sample to zero mean and unit variance (affecting only the first two
-    outputs; the shape moments are scale-free).
+    outputs; the shape moments are scale-free).  A sample that is
+    constant to float precision raises ValueError.
     """
     if len(returns) < 30:
         raise ValueError("need at least 30 samples for stable moments")
     x = returns.values
-    var = float(np.var(x, ddof=1))
-    if var == 0.0:
-        raise ValueError("zero variance: shape moments undefined")
+    shape = _shape_moments(x)
     if normalize:
-        x = (x - np.mean(x)) / math.sqrt(var)
-    mean = float(np.mean(x))
-    variance = float(np.var(x, ddof=1))
-    skewness = float(stats.skew(x, bias=True))
-    kurt = float(stats.kurtosis(x, fisher=True, bias=True))
-    return mean, variance, skewness, kurt
+        x = (x - np.mean(x)) / math.sqrt(float(np.var(x, ddof=1)))
+        shape = _shape_moments(x)
+    return (float(np.mean(x)), float(np.var(x, ddof=1)), *shape)
 
 
 def autocorrelation(x: Series, max_lag: int) -> list:

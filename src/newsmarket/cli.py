@@ -146,8 +146,13 @@ def cmd_analyze(args) -> int:
 
     if args.task == "sweep":
         lo, _, hi = args.range.partition(":")
+        try:
+            value_range = float(lo), float(hi)
+        except ValueError:
+            raise ValueError("--range must have the form LO:HI, got "
+                             f"{args.range!r}") from None
         rows, transitions = phase.bifurcation_sweep(
-            params, args.sweep, (float(lo), float(hi)), args.steps)
+            params, args.sweep, value_range, args.steps)
         extra = [f"sweep: {args.sweep} from {lo} to {hi} in {args.steps} steps"]
         extra += [f"transition: {br} {_fmt(v0)}->{_fmt(v1)} {c0}->{c1}"
                   for v0, v1, br, c0, c1 in transitions]

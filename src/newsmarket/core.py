@@ -20,7 +20,6 @@ from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtri
 
 __all__ = [
     "ModelParams",
@@ -36,8 +35,11 @@ __all__ = [
 
 # Integrators raise once |s| or |h| exceeds 1 by more than this slack.
 _BOUND_SLACK = 1e-9
-# Absolute root tolerance of every brentq solve in the package.
+# Absolute root tolerance of every _brentq solve in the package.
 _ROOT_XTOL = 1e-12
+# Relative tolerance and iteration budget of _brentq (scipy's defaults).
+_ROOT_RTOL = 4 * float(np.finfo(float).eps)
+_ROOT_MAXITER = 100
 
 # ModelParams fields in output order (the order of params lines and
 # manifests), which differs from the dataclass's declaration order.
@@ -215,6 +217,8 @@ class RandomSource:
 
     def standard_normal(self, size=None):
         """Standard normal via inverse CDF of the uniform stream."""
+        from scipy.special import ndtri
+
         u = self._gen.random(size)
         # Guard the measure-zero u == 0 (ndtri(0) = -inf).
         tiny = np.finfo(float).tiny
@@ -230,6 +234,68 @@ class RandomSource:
 
     def __repr__(self) -> str:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _brentq(f, a, b, args=()):
+    """Root of f on [a, b] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line port of scipy.optimize.brentq (its brentq.c, with
+    xtol = _ROOT_XTOL, rtol = 4*eps and maxiter = 100), so roots are
+    bitwise equal to scipy's and the solvers do not load scipy.  Raises
+    ValueError on a NaN function value or when f(a) and f(b) have the
+    same sign, RuntimeError when 100 iterations do not converge.
+    """
+    def fx(x):
+        v = float(f(x, *args))
+        if math.isnan(v):
+            raise ValueError(f"the function value at x={x} is NaN; "
+                             "solver cannot continue")
+        return v
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_ROOT_XTOL + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry          # good short step
+            else:
+                spre = scur = sbis               # bisect
+        else:
+            spre = scur = sbis                   # bisect
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"failed to converge after {_ROOT_MAXITER} "
+                       f"iterations, value is {xcur}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.special import gammaln, logsumexp
 
 from .core import RandomSource
 
@@ -195,6 +193,8 @@ def equilibrium_distribution(config: SpinSystemConfig, t: float = 0.0):
     (S_values[i], H_values[j]); P sums to 1.  Time-dependent fields are
     evaluated at t (the instantaneous equilibrium).
     """
+    from scipy.special import gammaln, logsumexp
+
     ns, nh = config.N_s, config.N_h
     S = np.arange(-ns, ns + 1, 2, dtype=float)
     H = np.arange(-nh, nh + 1, 2, dtype=float)
@@ -381,6 +381,8 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     matched times scale as N^(-1/2).  N_s, N_h >= 100 recommended for
     the comparison to be meaningful.
     """
+    from scipy.integrate import solve_ivp
+
     if n_realizations < 1:
         raise ValueError("n_realizations must be >= 1")
     runs = [simulate_glauber(config, horizon, rng.substream(i), init,

@@ -150,8 +150,8 @@ def find_equilibria(params: ModelParams) -> list:
 
     h* = tanh(delta) for every point; the s* values are the roots of the
     self-consistency relation with tilt c = beta2*tanh(delta), found by
-    equilibria_1d (analytic brackets, brentq).  Points come back sorted
-    by s*.
+    equilibria_1d (analytic brackets, core._brentq).  Points come back
+    sorted by s*.
     """
     h_star = math.tanh(params.delta)
     c = params.beta2 * h_star
@@ -337,11 +337,12 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
                       steps: int):
     """Classify every equilibrium branch along a one-parameter sweep.
 
-    sweep names the varied field (gamma, beta2, or delta).  Returns
-    (rows, transitions): rows is a list of (value, {branch: class}),
-    transitions lists (value_before, value_after, branch, class_before,
-    class_after) for every branch whose class changed between adjacent
-    grid values, with "absent" marking appearance or disappearance.
+    sweep names the varied field (gamma, beta2, or delta) and value_range
+    its finite (lo, hi).  Returns (rows, transitions): rows is a list of
+    (value, {branch: class}), transitions lists (value_before,
+    value_after, branch, class_before, class_after) for every branch whose
+    class changed between adjacent grid values, with "absent" marking
+    appearance or disappearance.
     """
     if sweep not in ("gamma", "beta2", "delta"):
         raise ValueError(f"cannot sweep {sweep!r}: pick gamma, beta2, "
@@ -349,6 +350,8 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     if steps < 2:
         raise ValueError("steps must be >= 2")
     lo, hi = float(value_range[0]), float(value_range[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{sweep} range must be finite, got {lo}:{hi}")
     values = np.linspace(lo, hi, int(steps))
     rows = []
     transitions = []

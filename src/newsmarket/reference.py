@@ -21,9 +21,7 @@ from __future__ import annotations
 
 import math
 
-from scipy.optimize import brentq
-
-from .core import _ROOT_XTOL
+from .core import _brentq
 
 __all__ = [
     "solve_sbar",
@@ -43,10 +41,10 @@ def _averaged_gap(s: float, beta1: float, sigma: float) -> float:
 def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
     """Positive root of the noise-averaged fixed-point relation.
 
-    brentq on the bracket [1e-6, 1] to 1e-12.  Returns 0 for beta1 <= 1,
-    and 0 with the paramagnetic flag when the bracket holds no sign change
-    (beta1 below the noise-shifted transition).  With full_output=True
-    returns (root, paramagnetic).
+    core._brentq on the bracket [1e-6, 1] to 1e-12.  Returns 0 for
+    beta1 <= 1, and 0 with the paramagnetic flag when the bracket holds
+    no sign change (beta1 below the noise-shifted transition).  With
+    full_output=True returns (root, paramagnetic).
 
     Negative-branch callers negate the result by symmetry.
     """
@@ -59,8 +57,7 @@ def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
     args = (beta1, sigma)
     if _averaged_gap(_BRACKET_LO, *args) * _averaged_gap(1.0, *args) > 0.0:
         return (0.0, True) if full_output else 0.0
-    root = brentq(_averaged_gap, _BRACKET_LO, 1.0, args=args,
-                  xtol=_ROOT_XTOL)
+    root = _brentq(_averaged_gap, _BRACKET_LO, 1.0, args=args)
     return (root, False) if full_output else root
 
 
@@ -88,7 +85,7 @@ def s_star_corrected(beta1: float, sigma: float) -> float:
 
 
 def beta1_from_sstar(s_star: float, sigma: float) -> float:
-    """Invert solve_sbar over beta1 in (1, 2] by brentq, to 1e-12.
+    """Invert solve_sbar over beta1 in (1, 2] by core._brentq, to 1e-12.
 
     Raises when s_star is outside the attainable range of solve_sbar on
     the bracket.  solve_sbar is monotone in beta1 there, so the root is
@@ -100,5 +97,4 @@ def beta1_from_sstar(s_star: float, sigma: float) -> float:
     if s_star > hi_val:
         raise ValueError(
             f"s_star = {s_star} not attainable: solve_sbar(2, {sigma}) = {hi_val}")
-    return brentq(lambda b1: solve_sbar(b1, sigma) - s_star, 1.0, 2.0,
-                  xtol=_ROOT_XTOL)
+    return _brentq(lambda b1: solve_sbar(b1, sigma) - s_star, 1.0, 2.0)

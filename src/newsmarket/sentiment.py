@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .core import _BOUND_SLACK, _ROOT_XTOL, ModelParams, Series
+from .core import _BOUND_SLACK, ModelParams, Series, _brentq
 
 __all__ = [
     "STABLE",
@@ -140,9 +139,9 @@ def equilibria_1d(beta1: float, c: float) -> list:
     The gap g(s) = tanh(beta1*s + c) - s is monotone between its turning
     points s_pm = (+-acosh(sqrt(beta1)) - c)/beta1, which exist for
     beta1 > 1.  [-1, s_-, s_+, 1] therefore cuts [-1, 1] into at most three
-    brackets with at most one root each; brentq solves every bracket whose
-    ends differ in sign to 1e-12, and a root on a bracket end is taken
-    as is, once.  A root is stable when d/ds[tanh(beta1*s + c) - s] < 0
+    brackets with at most one root each; core._brentq solves every bracket
+    whose ends differ in sign to 1e-12, and a root on a bracket end is
+    taken as is, once.  A root is stable when d/ds[tanh(beta1*s + c) - s] < 0
     there.  Returns (s_root, "stable"|"unstable") sorted by s.
     """
     for name, value in (("beta1", beta1), ("c", c)):
@@ -160,8 +159,8 @@ def equilibria_1d(beta1: float, c: float) -> list:
     roots = [x for x, v in zip(ends, vals) if v == 0.0]
     for lo, hi, f_lo, f_hi in zip(ends, ends[1:], vals, vals[1:]):
         if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-            roots.append(brentq(_self_consistency_gap, lo, hi,
-                                args=(beta1, c), xtol=_ROOT_XTOL))
+            roots.append(_brentq(_self_consistency_gap, lo, hi,
+                                 args=(beta1, c)))
     out = []
     for r in sorted(roots):
         slope = beta1 / math.cosh(beta1 * r + c) ** 2 - 1.0

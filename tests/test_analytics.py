@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import stats
 
 from newsmarket.analytics import (
     autocorrelation,
@@ -75,6 +78,35 @@ def test_distribution_stats_errors():
         distribution_stats(Series(np.arange(10.0)))
     with pytest.raises(ValueError, match="zero variance"):
         distribution_stats(Series(np.full(50, 2.0)))
+    # varies only in its last bit, where scipy.stats returns NaN moments
+    near = np.full(40, 1e8)
+    near[::2] += 1.5e-8
+    assert np.var(near) > 0.0
+    for normalize in (False, True):
+        with pytest.raises(ValueError, match="undefined"):
+            distribution_stats(Series(near), normalize)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1),
+       n=st.integers(min_value=30, max_value=3000),
+       kind=st.sampled_from(("normal", "t3", "exponential", "lognormal")),
+       loc=st.floats(min_value=-1e3, max_value=1e3),
+       scale=st.floats(min_value=1e-6, max_value=1e3))
+@settings(max_examples=200, deadline=None)
+def test_shape_moments_match_scipy_bitwise(seed, n, kind, loc, scale):
+    g = np.random.default_rng(seed)
+    draw = {"normal": lambda: g.standard_normal(n),
+            "t3": lambda: g.standard_t(3, n),
+            "exponential": lambda: g.exponential(size=n),
+            "lognormal": lambda: g.lognormal(size=n)}[kind]
+    x = loc + scale * draw()
+    for normalize in (False, True):
+        _, _, skew, kurt = distribution_stats(Series(x), normalize)
+        y = x
+        if normalize:
+            y = (x - np.mean(x)) / math.sqrt(float(np.var(x, ddof=1)))
+        assert repr(skew) == repr(float(stats.skew(y, bias=True)))
+        assert repr(kurt) == repr(float(stats.kurtosis(y, bias=True)))
 
 
 def test_autocorrelation_lag0_and_band():

@@ -129,6 +129,26 @@ def test_module_entry_point():
     assert "newsmarket" in proc.stdout
 
 
+def test_cli_runs_without_scipy(params_file, tmp_path):
+    # Only simulate-theory (ndtri) and glauber meanfield (solve_ivp) may
+    # load scipy, and only when they run.
+    returns = tmp_path / "returns.csv"
+    write_series(returns, Series(np.sin(np.arange(100.0))))
+    code = f"""
+import sys
+from newsmarket import cli
+assert cli.main(["analyze", "equilibria", "--params", {str(params_file)!r},
+                 "--out", {str(tmp_path / "eq.csv")!r}]) == 0
+assert cli.main(["stats", "moments", "--input", {str(returns)!r},
+                 "--out", {str(tmp_path / "m.txt")!r}]) == 0
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_missing_file_reports_error(capsys, params_file, tmp_path):
     code = main(["simulate-empirical", "--input", str(tmp_path / "no.csv"),
                  "--params", str(params_file),
@@ -253,6 +273,22 @@ def test_analyze_thresholds(params_file, tmp_path):
         assert float(cols["gamma_node_focus"][i]) == pytest.approx(g[0])
         assert float(cols["gamma_focus_unstable"][i]) == pytest.approx(g[1])
         assert float(cols["gamma_unstable_node"][i]) == pytest.approx(g[2])
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0:nan", "gamma range must be finite"),
+    ("nan:100", "gamma range must be finite"),
+    ("0:inf", "gamma range must be finite"),
+    *[(t, "--range must have the form LO:HI")
+      for t in ("5", "5:", ":5", "a:b", "0:1:2")],
+])
+def test_analyze_sweep_rejects_bad_range(params_file, tmp_path, capsys,
+                                         text, message):
+    out = tmp_path / "sweep.csv"
+    assert main(["analyze", "sweep", "--params", str(params_file),
+                 "--range", text, "--steps", "3", "--out", str(out)]) == 1
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_sweep(cycle_file, tmp_path):

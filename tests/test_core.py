@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from newsmarket import cli
 from newsmarket.core import (
@@ -13,12 +14,16 @@ from newsmarket.core import (
     ModelParams,
     RandomSource,
     Series,
+    _ROOT_XTOL,
+    _brentq,
     load_params,
     parse_kv_file,
     read_series,
     validate,
     write_series,
 )
+from newsmarket.reference import _averaged_gap, solve_sbar
+from newsmarket.sentiment import _self_consistency_gap
 
 GOOD = dict(w_s=0.04, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.374, a2=0.002,
             gamma=56.0, delta=0.03, kappa=1.0, a4=6.5, s_star=0.131)
@@ -234,3 +239,67 @@ def test_validate_accepts_entire_legal_box(w_s, w_h, b1, b2, gamma, delta):
     p = ModelParams(w_s=w_s, w_h=w_h, beta1=b1, beta2=b2, a1=0.374,
                     a2=0.002, gamma=gamma, delta=delta)
     assert p.validate() == []
+
+
+# ---------------------------------------------------------------------------
+# _brentq, the port of scipy.optimize.brentq
+
+
+def assert_same_root(f, lo, hi, args=()):
+    """_brentq returns scipy's root bit for bit, or both raise ValueError."""
+    try:
+        want = brentq(f, lo, hi, args=args, xtol=_ROOT_XTOL)
+    except ValueError:
+        with pytest.raises(ValueError):
+            _brentq(f, lo, hi, args)
+        return
+    assert repr(_brentq(f, lo, hi, args)) == repr(want)
+
+
+@given(beta1=st.floats(min_value=0.0, max_value=3.0),
+       c=st.floats(min_value=-2.0, max_value=2.0),
+       cut=st.floats(min_value=-1.0, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_brentq_matches_scipy_on_equilibria_brackets(beta1, c, cut):
+    # equilibria_1d's analytic brackets, cut once more at a random point
+    ends = {-1.0, 1.0, cut}
+    if beta1 > 1.0:
+        a = math.acosh(math.sqrt(beta1))
+        ends |= {x for x in ((-a - c) / beta1, (a - c) / beta1)
+                 if -1.0 < x < 1.0}
+    ends = sorted(ends)
+    for lo, hi in zip(ends, ends[1:]):
+        assert_same_root(_self_consistency_gap, lo, hi, (beta1, c))
+
+
+@given(beta1=st.floats(min_value=1.0, max_value=2.0),
+       sigma=st.floats(min_value=0.0, max_value=0.99),
+       lo=st.floats(min_value=1e-6, max_value=1.0))
+@settings(max_examples=300, deadline=None)
+def test_brentq_matches_scipy_on_solve_sbar_brackets(beta1, sigma, lo):
+    assert_same_root(_averaged_gap, 1e-6, 1.0, (beta1, sigma))
+    assert_same_root(_averaged_gap, lo, 1.0, (beta1, sigma))
+
+
+@given(sigma=st.floats(min_value=0.0, max_value=0.6),
+       frac=st.floats(min_value=0.01, max_value=1.0))
+@settings(max_examples=40, deadline=None)
+def test_brentq_matches_scipy_on_nested_beta1_solves(sigma, frac):
+    s_star = frac * solve_sbar(2.0, sigma)
+    assert_same_root(lambda b1: solve_sbar(b1, sigma) - s_star, 1.0, 2.0)
+
+
+def test_brentq_raises_like_scipy():
+    hole = lambda x: math.nan if 0.2 < x < 0.8 else x - 0.5  # noqa: E731
+    for f, lo, hi in ((lambda x: math.nan, 0.0, 1.0), (hole, 0.0, 1.0)):
+        for solver in (brentq, _brentq):
+            with pytest.raises(ValueError, match="NaN"):
+                solver(f, lo, hi)
+    for solver in (brentq, _brentq):
+        with pytest.raises(ValueError, match="different signs"):
+            solver(lambda x: x * x + 1.0, -1.0, 1.0)
+    # a sign step in a huge bracket needs ~1000 halvings, past maxiter
+    step = lambda x: -1.0 if x < 1.0 / 3.0 else 1.0  # noqa: E731
+    for solver in (brentq, _brentq):
+        with pytest.raises(RuntimeError, match="converge"):
+            solver(step, -1e300, 1e300)

@@ -327,6 +327,10 @@ def test_bifurcation_sweep_errors():
         bifurcation_sweep(MAIN, "w_s", (0.01, 0.1), 5)
     with pytest.raises(ValueError, match="steps"):
         bifurcation_sweep(MAIN, "gamma", (40.0, 90.0), 1)
+    for value_range in ((0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                        (-math.inf, 0.0)):
+        with pytest.raises(ValueError, match="gamma range must be finite"):
+            bifurcation_sweep(MAIN, "gamma", value_range, 3)
 
 
 def test_negative_bias_mirrors_positive():
