@@ -368,7 +368,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", choices=("gamma", "beta2", "delta"),
                    default="gamma", help="sweep: which field to vary")
     p.add_argument("--range", default="0:100",
-                   help="sweep: lo:hi of the varied field")
+                   help="sweep: LO:HI of the varied field; write a "
+                   "negative LO as --range=LO:HI")
     p.add_argument("--steps", type=int, default=101, help="sweep: grid size")
     p.add_argument("--init-s", type=float, default=0.9,
                    help="limit-cycle: starting sentiment")

@@ -30,12 +30,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .core import _BOUND_SLACK, MarketState, ModelParams, Series, validate
-from .market import SIMPLIFIED, _daily_path, _make_drift, _rk4_step
+from .market import (SIMPLIFIED, _daily_path, _left_box, _make_drift,
+                     _rk4_step)
 from .sentiment import equilibria_1d
 
 __all__ = [
@@ -256,10 +256,10 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
         raise ValueError("days must be >= 1")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
-    f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
     dt = (-1.0 if reverse else 1.0) / substeps
-    s_out, h_out = _daily_path(repeat(f, days - 1), init.s, init.h, days,
-                               substeps, dt)
+    s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
+                               np.zeros(days - 1), init.s, init.h, substeps,
+                               dt, SIMPLIFIED)
     return Series(s_out, 0, 1.0), Series(h_out, 0, 1.0)
 
 
@@ -302,9 +302,7 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
         t += dt
         if not (abs(s) <= lim and abs(h) <= lim):
             if not reverse:
-                raise RuntimeError(
-                    f"integrator failure at day {k // substeps}: state left "
-                    f"[-1, 1] (s = {s}, h = {h})")
+                raise _left_box(k // substeps, s, h)
             # Reverse-time escape from the physical box: nothing closed here.
             return LimitCycleReport(False, 0.0, (smin, smax), crossings,
                                     stable=False)
@@ -338,8 +336,9 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     """Classify every equilibrium branch along a one-parameter sweep.
 
     sweep names the varied field (gamma, beta2, or delta) and value_range
-    its finite (lo, hi).  Returns (rows, transitions): rows is a list of
-    (value, {branch: class}), transitions lists (value_before,
+    its finite (lo, hi); the parameters at both ends must pass validate,
+    so neither end may be negative.  Returns (rows, transitions): rows is
+    a list of (value, {branch: class}), transitions lists (value_before,
     value_after, branch, class_before, class_after) for every branch whose
     class changed between adjacent grid values, with "absent" marking
     appearance or disappearance.
@@ -352,6 +351,9 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{sweep} range must be finite, got {lo}:{hi}")
+    # Each sweepable field is valid on [0, inf), so the ends cover the grid.
+    for end in (lo, hi):
+        validate(params.replace(**{sweep: end}))
     values = np.linspace(lo, hi, int(steps))
     rows = []
     transitions = []

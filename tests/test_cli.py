@@ -281,12 +281,14 @@ def test_analyze_thresholds(params_file, tmp_path):
     ("0:inf", "gamma range must be finite"),
     *[(t, "--range must have the form LO:HI")
       for t in ("5", "5:", ":5", "a:b", "0:1:2")],
+    ("-10:10", "gamma must be non-negative"),
 ])
 def test_analyze_sweep_rejects_bad_range(params_file, tmp_path, capsys,
                                          text, message):
     out = tmp_path / "sweep.csv"
+    # the --range=LO:HI form, so that a negative LO is not read as an option
     assert main(["analyze", "sweep", "--params", str(params_file),
-                 "--range", text, "--steps", "3", "--out", str(out)]) == 1
+                 f"--range={text}", "--steps", "3", "--out", str(out)]) == 1
     assert message in capsys.readouterr().err
     assert not out.exists()
 

@@ -5,16 +5,23 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from newsmarket.core import MarketState, ModelParams, RandomSource, Series
+from newsmarket.core import (_BOUND_SLACK, MarketState, ModelParams,
+                             RandomSource, Series)
 from newsmarket.market import (
     FULL,
     SIMPLIFIED,
+    _left_box,
+    _make_drift,
+    _rk4_step,
     drift,
     ensemble,
     noise_dominance_map,
     simulate,
 )
+from newsmarket.phase import integrate_autonomous
 
 MAIN = ModelParams(w_s=0.04, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.374,
                    a2=0.002, gamma=56.0, delta=0.03, kappa=1.0, a4=6.5,
@@ -130,7 +137,7 @@ def test_simulate_errors():
         simulate(QUIET, MarketState(0.0, 0.0), 0)
     with pytest.raises(ValueError, match="substeps"):
         simulate(QUIET, MarketState(0.0, 0.0), 10, substeps=0)
-    with pytest.raises(ValueError, match="theta profile"):
+    with pytest.raises(ValueError, match="theta_profile"):
         simulate(QUIET, MarketState(0.0, 0.0), 10,
                  theta_profile=Series(np.ones(5)))
     with pytest.raises(ValueError, match="mode"):
@@ -142,12 +149,16 @@ def test_simulate_errors():
 @pytest.mark.parametrize("theta", [0.0, -1.0])
 def test_simulate_rejects_nonpositive_theta(theta):
     prof = Series(np.r_[np.ones(5), theta, np.ones(4)])
-    # rejected before any 1/theta is formed
-    with np.errstate(all="raise"):
-        with pytest.raises(ValueError, match="theta_profile"):
-            simulate(QUIET, MarketState(0.5, 0.0), 10, theta_profile=prof)
-    # only the days that set a beta1 are checked: the last sample is unused
-    simulate(QUIET, MarketState(0.5, 0.0), 6, theta_profile=prof)
+    for mode in (SIMPLIFIED, FULL):
+        # rejected before any 1/theta is formed
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="theta_profile"):
+                simulate(QUIET, MarketState(0.5, 0.0), 10,
+                         theta_profile=prof, mode=mode)
+        # only the days that set a beta1 are checked: the last sample is
+        # unused
+        simulate(QUIET, MarketState(0.5, 0.0), 6, theta_profile=prof,
+                 mode=mode)
 
 
 def test_simulate_rejects_negative_beta1_from_shift():
@@ -157,6 +168,124 @@ def test_simulate_rejects_negative_beta1_from_shift():
     with pytest.raises(ValueError, match="beta1_shift"):
         simulate(QUIET, MarketState(0.5, 0.0), 10, theta_profile=prof,
                  beta1_shift=-2.5)
+
+
+@st.composite
+def bad_simulate_input(draw):
+    """(horizon_days, keyword arguments, name of the offending field)."""
+    horizon = draw(st.integers(min_value=2, max_value=40))
+    case = draw(st.sampled_from(["short", "theta", "shift", "substeps",
+                                 "horizon"]))
+    if case == "horizon":
+        return draw(st.integers(max_value=0)), {}, "horizon_days"
+    if case == "substeps":
+        return (horizon, {"substeps": draw(st.integers(max_value=0))},
+                "substeps")
+    if case == "short":
+        n = draw(st.integers(min_value=1, max_value=horizon - 1))
+        return (horizon, {"theta_profile": Series(np.ones(n))},
+                "theta_profile")
+    theta = draw(st.lists(st.floats(min_value=0.2, max_value=5.0),
+                          min_size=horizon, max_size=horizon + 3))
+    if case == "theta":
+        # a bad value on a day that sets a beta1 (the last sample does not)
+        theta[draw(st.integers(0, horizon - 2))] = draw(
+            st.floats(max_value=0.0, allow_infinity=False))
+        return (horizon, {"theta_profile": Series(np.array(theta))},
+                "theta_profile")
+    # 1/theta <= 5 and beta1 = 1.1, so a shift below -5 turns beta1 negative
+    kw = {"beta1_shift": draw(st.one_of(
+        st.sampled_from([math.nan, math.inf, -math.inf]),
+        st.floats(min_value=-1e6, max_value=-5.01)))}
+    if draw(st.booleans()):
+        kw["theta_profile"] = Series(np.array(theta))
+    return horizon, kw, "beta1_shift"
+
+
+@given(bad=bad_simulate_input(), mode=st.sampled_from([SIMPLIFIED, FULL]))
+@settings(max_examples=60, deadline=None)
+def test_simulate_input_checks_name_the_field(bad, mode):
+    horizon, kw, name = bad
+    with pytest.raises(ValueError, match=name):
+        simulate(QUIET, MarketState(0.5, 0.0), horizon, mode=mode, **kw)
+
+
+def _closure_days(params, beta1, xi, s, h, substeps, dt):
+    """The reference day loop: _rk4_step over one _make_drift closure per
+    day, raising like market._daily_path when the state leaves the box."""
+    lim = 1.0 + _BOUND_SLACK
+    s_out, h_out = [s], [h]
+    for d, (b1, x) in enumerate(zip(beta1.tolist(), xi.tolist())):
+        f = _make_drift(params, b1, x, SIMPLIFIED)
+        for _ in range(substeps):
+            s, h = _rk4_step(f, s, h, dt)
+            if not (abs(s) <= lim and abs(h) <= lim):
+                raise _left_box(d, s, h)
+        s_out.append(s)
+        h_out.append(h)
+    return np.array(s_out), np.array(h_out)
+
+
+def _outcome(run):
+    """The bytes of a run's (s, h) path, or its integrator-failure message."""
+    try:
+        s, h = run()
+    except RuntimeError as err:
+        return str(err)
+    return s.tobytes(), h.tobytes()
+
+
+@given(params=st.builds(
+           MAIN.replace,
+           w_s=st.floats(min_value=0.005, max_value=0.5),
+           w_h=st.floats(min_value=0.05, max_value=40.0),
+           beta1=st.floats(min_value=0.0, max_value=2.0),
+           beta2=st.floats(min_value=0.0, max_value=2.0),
+           gamma=st.floats(min_value=0.0, max_value=200.0),
+           delta=st.floats(min_value=0.0, max_value=0.5),
+           kappa=st.sampled_from([0.0, 0.3, 1.0, 3.0])),
+       s0=st.floats(min_value=-0.99, max_value=0.99),
+       h0=st.floats(min_value=-0.99, max_value=0.99),
+       n=st.integers(min_value=1, max_value=60),
+       substeps=st.integers(min_value=1, max_value=8),
+       theta=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
+       shift=st.floats(min_value=0.0, max_value=0.5),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       reverse=st.booleans())
+@example(params=QUIET.replace(w_h=500.0), s0=0.9, h0=-0.9, n=10,
+         substeps=1, theta=None, shift=0.0, seed=0, reverse=False)
+@settings(max_examples=80, deadline=None)
+def test_simplified_kernel_matches_closure_loop_bitwise(
+        params, s0, h0, n, substeps, theta, shift, seed, reverse):
+    # the kernel behind simulate and integrate_autonomous against
+    # _rk4_step over _make_drift: the same bytes, or the same failure
+    prof = None if theta is None else Series(
+        np.random.default_rng(theta).uniform(0.3, 3.0, 60))
+    init = MarketState(s0, h0)
+
+    def run_simulate():
+        r = simulate(params, init, n, substeps, RandomSource(seed), prof,
+                     SIMPLIFIED, shift)
+        return r.s.values, r.h.values
+
+    def run_autonomous():
+        s, h = integrate_autonomous(params, init, n, substeps, reverse)
+        return s.values, h.values
+
+    # daily beta1 and xi formed as simulate forms them
+    beta1 = (np.full(n - 1, params.beta1 + shift) if prof is None
+             else 1.0 / prof.values[:n - 1] + shift)
+    xi = (RandomSource(seed).standard_normal(n - 1) if params.kappa != 0.0
+          else np.zeros(n - 1))
+    pairs = [
+        (run_simulate, lambda: _closure_days(params, beta1, xi, s0, h0,
+                                             substeps, 1.0 / substeps)),
+        (run_autonomous, lambda: _closure_days(
+            params, np.full(n - 1, params.beta1), np.zeros(n - 1), s0, h0,
+            substeps, (-1.0 if reverse else 1.0) / substeps)),
+    ]
+    for run, reference in pairs:
+        assert _outcome(run) == _outcome(reference)
 
 
 def test_unstable_step_raises():

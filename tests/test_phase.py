@@ -331,6 +331,12 @@ def test_bifurcation_sweep_errors():
                         (-math.inf, 0.0)):
         with pytest.raises(ValueError, match="gamma range must be finite"):
             bifurcation_sweep(MAIN, "gamma", value_range, 3)
+    # every swept parameter set must pass validate, at either end
+    for sweep, value_range in (("gamma", (-10.0, 10.0)),
+                               ("beta2", (0.5, -1.0)),
+                               ("delta", (-0.1, 0.0))):
+        with pytest.raises(ValueError, match=f"{sweep} must be non-negative"):
+            bifurcation_sweep(MAIN, sweep, value_range, 3)
 
 
 def test_negative_bias_mirrors_positive():
