@@ -25,7 +25,11 @@ is what makes the cross term a single, consistent energy.
 
 b_s and b_h accept either constants or callables of time; rates use the
 field value at the current event time (the fields vary slowly compared
-with the waiting times in every intended use).
+with the waiting times in every intended use).  With constant fields the
+rates are a function of (S, H) alone, and a chain revisits few
+macrostates, so simulate_glauber computes each visited state's rates once
+and looks them up afterwards; callable fields are evaluated, and the
+rates computed, at every event.
 
 simulate_glauber consumes its RandomSource in blocks of uniforms, each
 block bitwise equal to the same number of scalar rng.exponential() and
@@ -60,6 +64,10 @@ __all__ = [
 # the cost of one numpy call thinly, few enough that a short run wastes
 # little.
 _BLOCK = 1024
+# Macrostates whose rates simulate_glauber keeps under constant fields;
+# the table is emptied when full, which bounds its memory on long runs
+# that wander over many states.
+_RATE_CACHE = 4096
 
 
 def _eval_field(field, t):
@@ -74,6 +82,10 @@ class SpinSystemConfig:
     per-pair couplings are J11/N_s, J12/N_h, J21/N_s, J22/N_h.  The
     cross couplings must satisfy J21/J12 = N_s/N_h, otherwise no single
     energy function generates both flip rates.
+
+    theta = inf is accepted as the infinite-temperature limit beta = 0:
+    every flip is a fair coin at rate w/2, whatever the couplings and
+    fields, and the Gibbs distribution is the product of two binomials.
     """
 
     N_s: int
@@ -258,6 +270,12 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
 
     rng is consumed in blocks of uniform draws, so its state after the
     call is unspecified: pass a stream that nothing else draws from.
+
+    With constant b_s and b_h the rates of each visited (S, H) are
+    computed on its first visit and looked up on later ones (the table
+    holds at most _RATE_CACHE states and is emptied when full); the
+    stored values are the floats the first visit computed, so the
+    trajectory is the same bit for bit.  Callable fields skip the table.
     """
     if not horizon > 0:
         raise ValueError("horizon must be positive")
@@ -283,11 +301,7 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
         grid_t = grid.tolist() + [math.inf]
         next_t = grid_t[1]
 
-    for wait, pick in _block_draws(rng):
-        if bs_varies:
-            bs = b_s(t)
-        if bh_varies:
-            bh = b_h(t)
+    def partial_sums(S, H, bs, bh, t):
         r1, r2, r3, r4 = rates(S, H, bs, bh)
         r12 = r1 + r2
         r123 = r12 + r3
@@ -296,6 +310,26 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
             raise ValueError(f"total flip rate {total} at t = {t} is not "
                              "positive and finite (check the fields b_s, "
                              "b_h)")
+        return r1, r12, r123, total
+
+    # With constant fields the rates depend on (S, H) alone: each visited
+    # macrostate's partial sums are computed once and then looked up.
+    cache = None if bs_varies or bh_varies else {}
+    for wait, pick in _block_draws(rng):
+        if cache is None:
+            if bs_varies:
+                bs = b_s(t)
+            if bh_varies:
+                bh = b_h(t)
+            r1, r12, r123, total = partial_sums(S, H, bs, bh, t)
+        else:
+            try:
+                r1, r12, r123, total = cache[S, H]
+            except KeyError:
+                if len(cache) >= _RATE_CACHE:
+                    cache.clear()
+                r1, r12, r123, total = cache[S, H] = partial_sums(
+                    S, H, bs, bh, t)
         t_new = t + wait / total
         if sample_step is not None:
             while next_t <= t_new and len(ss) < n_samples:

@@ -20,7 +20,9 @@ the same order, so both paths give bitwise-identical states.
 from __future__ import annotations
 
 import math
+import operator
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -184,6 +186,14 @@ class SimulationRun:
                 for a, b, c in zip(self.s.values, self.h.values, self.p.values)]
 
 
+def _integral(name: str, value) -> int:
+    """value as an int (numpy integers pass), or a ValueError naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def simulate(params: ModelParams, init: MarketState, horizon_days: int,
              substeps: int = 8, rng: RandomSource | None = None,
              theta_profile: Series | None = None, mode: str = SIMPLIFIED,
@@ -196,12 +206,16 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     module.  theta_profile (length >= horizon) overrides beta1 daily as
     1/theta(day); beta2 is never rescaled.  beta1_shift is added to
     whatever beta1 is in force (a documented variant of the
-    temperature-modulated runs).  The used part of theta_profile must be
-    positive, and the daily beta1 finite and non-negative.
+    temperature-modulated runs).  horizon_days and substeps must be
+    integers (numpy integers included), the used part of theta_profile
+    positive and not subnormal, and the daily beta1 finite and
+    non-negative.
     """
     validate(params)
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
+    horizon_days = _integral("horizon_days", horizon_days)
+    substeps = _integral("substeps", substeps)
     if horizon_days < 1:
         raise ValueError("horizon_days must be >= 1")
     if substeps < 1:
@@ -217,10 +231,13 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
         beta1 = np.full(n - 1, params.beta1 + beta1_shift)
     else:
         theta = theta_profile.values[:n - 1]
-        if np.any(theta <= 0.0):
-            bad = int(np.flatnonzero(theta <= 0.0)[0])
-            raise ValueError(f"theta_profile must be positive: day {bad} "
-                             f"has theta = {theta[bad]}")
+        # 1/theta can overflow for a subnormal theta
+        bad_days = np.flatnonzero(theta < sys.float_info.min)
+        if bad_days.size:
+            bad = int(bad_days[0])
+            raise ValueError("theta_profile must be positive and at least "
+                             f"{sys.float_info.min}: day {bad} has theta = "
+                             f"{theta[bad]}")
         beta1 = 1.0 / theta + beta1_shift
     if not np.all(np.isfinite(beta1) & (beta1 >= 0.0)):
         raise ValueError(f"beta1_shift = {beta1_shift} leaves the daily "

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from newsmarket import glauber
 from newsmarket.core import RandomSource
 from newsmarket.glauber import (
     _BLOCK,
@@ -121,6 +122,31 @@ def test_detailed_balance_exact():
             if flow > 0 or counter > 0:
                 worst = max(worst, abs(flow - counter) / max(flow, counter))
     assert worst < 1e-12
+
+
+def test_infinite_theta_is_the_free_spin_limit():
+    # theta = inf is beta = 0: couplings and fields drop out exactly
+    hot = SpinSystemConfig(N_s=6, N_h=4, J11=1.2, J12=0.5, J21=0.75,
+                           J22=0.3, mu_s=0.7, mu_h=0.4, theta=math.inf,
+                           w_s=2.0, w_h=0.5, b_s=0.2, b_h=-0.1)
+    free = SpinSystemConfig(N_s=6, N_h=4, w_s=2.0, w_h=0.5)
+    for S in range(-6, 7, 2):
+        for H in range(-4, 5, 2):
+            state = SpinMacroState(S, H)
+            assert transition_rates(state, hot) == transition_rates(state,
+                                                                    free)
+    S_vals, H_vals, P = equilibrium_distribution(hot)
+    for i, S in enumerate(S_vals):
+        for j, H in enumerate(H_vals):
+            want = (math.comb(6, (6 + S) // 2) * math.comb(4, (4 + H) // 2)
+                    / 2.0 ** 10)
+            assert P[i, j] == pytest.approx(want, rel=1e-12)
+    # equal rates make equal chains from the same draws
+    a = simulate_glauber(hot, 50.0, RandomSource(5))
+    b = simulate_glauber(free, 50.0, RandomSource(5))
+    assert a.n_events == b.n_events > 0
+    assert a.times.tobytes() == b.times.tobytes()
+    assert a.s.tobytes() == b.s.tobytes() and a.h.tobytes() == b.h.tobytes()
 
 
 def test_equilibrium_distribution_matches_enumeration():
@@ -269,6 +295,71 @@ def test_event_loop_matches_scalar_draws_bitwise(config, horizon,
     assert np.array_equal(run.h, h)
 
 
+@given(config=st.sampled_from([DB, DRIVEN, LARGE]),
+       cache_size=st.sampled_from([1, 2, 7]),
+       horizon=st.sampled_from([3.0, 2000.0]),
+       sample_step=st.sampled_from([None, 0.7]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       start=st.sampled_from(["all-up", "zero"]))
+@settings(max_examples=30, deadline=None)
+def test_event_loop_matches_scalar_draws_with_a_tiny_rate_table(
+        config, cache_size, horizon, sample_step, seed, start):
+    # a table this small is emptied many times over; the stored rates must
+    # stay the ones the scalar loop computes
+    init = None if start == "all-up" else SpinMacroState(
+        config.N_s % 2, config.N_h % 2)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(glauber, "_RATE_CACHE", cache_size)
+        run = simulate_glauber(config, horizon, RandomSource(seed), init,
+                               sample_step)
+    times, s, h, n_events = scalar_event_loop(config, horizon,
+                                              RandomSource(seed), init,
+                                              sample_step)
+    assert run.n_events == n_events
+    assert run.times.tobytes() == times.tobytes()
+    assert run.s.tobytes() == s.tobytes()
+    assert run.h.tobytes() == h.tobytes()
+
+
+def counted_rates(monkeypatch):
+    """Patch glauber._make_rates so that every rate evaluation is counted;
+    returns the counter (a one-element list)."""
+    calls = [0]
+    make = glauber._make_rates
+
+    def counting_make_rates(config):
+        rates = make(config)
+
+        def counted(*args):
+            calls[0] += 1
+            return rates(*args)
+        return counted
+
+    monkeypatch.setattr(glauber, "_make_rates", counting_make_rates)
+    return calls
+
+
+def test_constant_fields_compute_rates_once_per_visited_state(monkeypatch):
+    calls = counted_rates(monkeypatch)
+    run = simulate_glauber(DB, 2000.0, RandomSource(3))
+    # every recorded state, the final one included, had its rates computed
+    visited = set(zip(run.s.tolist(), run.h.tolist()))
+    assert run.n_events > 20 * len(visited)
+    assert calls[0] == len(visited)
+    # an emptied table computes a state's rates again on the next visit
+    monkeypatch.setattr(glauber, "_RATE_CACHE", 4)
+    calls[0] = 0
+    simulate_glauber(DB, 2000.0, RandomSource(3))
+    assert len(visited) < calls[0] < run.n_events
+
+
+def test_callable_fields_compute_rates_at_every_event(monkeypatch):
+    calls = counted_rates(monkeypatch)
+    run = simulate_glauber(DRIVEN, 200.0, RandomSource(3))
+    # one evaluation per event plus the one whose wait passes the horizon
+    assert calls[0] == run.n_events + 1
+
+
 def test_event_loop_parity_spans_several_blocks():
     # the longest horizon above crosses block boundaries for every config
     for config in (DB, DRIVEN, LARGE):
@@ -303,6 +394,15 @@ def test_nan_field_raises_instead_of_hanging():
     cfg = SpinSystemConfig(N_s=8, N_h=4, J11=1.0, mu_s=1.0, b_s=b_s)
     with pytest.raises(ValueError, match="rate"):
         simulate_glauber(cfg, 10.0, RandomSource(0))
+
+
+def test_underflowing_constant_rates_raise_on_first_visit():
+    # from the all-up state every flip rate underflows to 0.0
+    frozen = SpinSystemConfig(N_s=8, N_h=4, J11=1000.0, J22=1000.0,
+                              theta=1e-3)
+    assert transition_rates(SpinMacroState(8, 4), frozen) == (0.0,) * 4
+    with pytest.raises(ValueError, match=r"total flip rate 0\.0 at t = 0\.0"):
+        simulate_glauber(frozen, 10.0, RandomSource(0))
 
 
 def test_time_average_matches_gibbs_mean():

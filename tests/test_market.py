@@ -161,6 +161,34 @@ def test_simulate_rejects_nonpositive_theta(theta):
                  mode=mode)
 
 
+@pytest.mark.parametrize("theta", [1e-320, 5e-324, 2e-308])
+def test_simulate_rejects_subnormal_theta(theta):
+    prof = Series(np.r_[np.ones(3), theta, np.ones(6)])
+    for mode in (SIMPLIFIED, FULL):
+        # named as the profile's fault, before 1/theta can overflow
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="theta_profile.*day 3"):
+                simulate(QUIET, MarketState(0.5, 0.0), 10,
+                         theta_profile=prof, mode=mode)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon_days", 10.5), ("horizon_days", 10.0), ("horizon_days", "10"),
+    ("substeps", 2.5), ("substeps", np.float64(8.0)), ("substeps", None)])
+def test_simulate_rejects_non_integral_counts(field, value):
+    kw = {"horizon_days": 10, "substeps": 8, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        simulate(QUIET, MarketState(0.5, 0.0), **kw)
+
+
+def test_simulate_accepts_numpy_integer_counts():
+    plain = simulate(QUIET, MarketState(0.5, 0.0), 12, substeps=4)
+    numpy_ints = simulate(QUIET, MarketState(0.5, 0.0), np.int64(12),
+                          substeps=np.int32(4))
+    assert plain.s.values.tobytes() == numpy_ints.s.values.tobytes()
+    assert plain.h.values.tobytes() == numpy_ints.h.values.tobytes()
+
+
 def test_simulate_rejects_negative_beta1_from_shift():
     with pytest.raises(ValueError, match="beta1_shift"):
         simulate(QUIET, MarketState(0.5, 0.0), 10, beta1_shift=-5.0)
