@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .core import Series
+from .core import Series, _count
 
 _EPS = np.finfo(float).eps
 
@@ -85,11 +85,11 @@ def distribution_stats(returns: Series, normalize: bool = False):
 def autocorrelation(x: Series, max_lag: int) -> list:
     """Sample ACF with biased normalization, as (lag, acf, band) rows.
 
-    band is the white-noise 95% half-width 1.96/sqrt(n), identical for
-    every lag.  acf at lag 0 is exactly 1.
+    Lags run 0..max_lag, an integer >= 0 below the series length.  band
+    is the white-noise 95% half-width 1.96/sqrt(n), identical for every
+    lag.  acf at lag 0 is exactly 1.
     """
-    if max_lag < 0:
-        raise ValueError("max_lag must be >= 0")
+    max_lag = _count("max_lag", max_lag, least=0)
     n = len(x)
     if max_lag >= n:
         raise ValueError("max_lag must be below the series length")
@@ -191,21 +191,22 @@ def mssa_leading(x: Series, y: Series, window: int = 250,
     """Joint singular-spectrum reconstruction of two series from their
     leading components.
 
-    Both series are standardized, embedded as lagged trajectory matrices,
-    and stacked; the eigenvectors of the joint lag-covariance with the
-    n_components largest eigenvalues define the reconstruction subspace.
-    Each output is diagonal-averaged back to full length and returned on
-    the original scale.  An oscillatory mode occupies a pair of
-    components, so n_components = 2 isolates the leading quasiperiodic
-    cycle shared by the two channels.
+    Both series are standardized, embedded as trajectory matrices of
+    window lags (an integer in [2, len // 2]), and stacked; the
+    eigenvectors of the joint lag-covariance with the n_components (an
+    integer in [1, 2*window]) largest eigenvalues define the
+    reconstruction subspace.  Each output is diagonal-averaged back to
+    full length and returned on the original scale.  An oscillatory mode
+    occupies a pair of components, so n_components = 2 isolates the
+    leading quasiperiodic cycle shared by the two channels.
     """
     if len(x) != len(y):
         raise ValueError("series lengths differ")
     n = len(x)
-    if not 2 <= window <= n // 2:
+    window = _count("window", window, least=2)
+    if window > n // 2:
         raise ValueError(f"window must lie in [2, {n // 2}] for length {n}")
-    if n_components < 1:
-        raise ValueError("n_components must be >= 1")
+    n_components = _count("n_components", n_components)
     if n_components > 2 * window:
         raise ValueError("n_components exceeds the number of channels")
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__, analytics, market, phase, sentiment
 from .core import (MarketState, ModelParams, RandomSource, _PARAM_FIELDS,
-                   _fields_line, _fmt, _load_record, _write_report,
+                   _count, _fields_line, _fmt, _load_record, _write_report,
                    _write_table, load_params, read_series, write_series)
 from .glauber import (SpinMacroState, SpinSystemConfig, meanfield_compare,
                       simulate_glauber)
@@ -198,8 +198,6 @@ def cmd_analyze(args) -> int:
                      zip(curve.s_grid, curve.u_values))
         return 0
 
-    raise ValueError(f"unknown analyze task {args.task!r}")
-
 
 def cmd_glauber(args) -> int:
     config = _load_record(args.params, SpinSystemConfig, ints=("N_s", "N_h"))
@@ -214,8 +212,7 @@ def cmd_glauber(args) -> int:
             H=args.init_H if args.init_H is not None else config.N_h)
 
     if args.task == "trajectory":
-        if args.realizations < 1:
-            raise ValueError("realizations must be >= 1")
+        _count("realizations", args.realizations)
         out = Path(args.out)
         if args.realizations == 1:
             runs = [(out, rng, [])]
@@ -248,8 +245,6 @@ def cmd_glauber(args) -> int:
             ("rms_deviation", report.rms_deviation),
         ])
         return 0
-
-    raise ValueError(f"unknown glauber task {args.task!r}")
 
 
 def cmd_stats(args) -> int:
@@ -312,8 +307,6 @@ def cmd_stats(args) -> int:
             f"min_period_days: {_fmt(args.min_period)}",
         ])
         return 0
-
-    raise ValueError(f"unknown stats task {args.task!r}")
 
 
 # ---------------------------------------------------------------------------

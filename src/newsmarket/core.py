@@ -16,6 +16,7 @@ round-trip float repr, so identical runs give identical bytes.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -118,6 +119,18 @@ class ModelParams:
 
     def replace(self, **changes) -> "ModelParams":
         return replace(self, **changes)
+
+
+def _count(name: str, value, least: int = 1) -> int:
+    """value as an int of at least `least` (numpy integers pass), or a
+    ValueError naming it; the one check of every count argument."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
 
 
 def validate(params: ModelParams) -> ModelParams:

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource
+from .core import RandomSource, _count
 
 __all__ = [
     "SpinSystemConfig",
@@ -78,6 +78,7 @@ def _eval_field(field, t):
 class SpinSystemConfig:
     """Sizes, couplings, and rates of the two-species spin system.
 
+    The sizes N_s and N_h are integers >= 1 (numpy integers pass).
     J11, J12, J21, J22 follow the thermodynamic-limit convention: the
     per-pair couplings are J11/N_s, J12/N_h, J21/N_s, J22/N_h.  The
     cross couplings must satisfy J21/J12 = N_s/N_h, otherwise no single
@@ -104,10 +105,12 @@ class SpinSystemConfig:
 
     def __post_init__(self):
         bad = []
-        if self.N_s < 1:
-            bad.append("N_s must be >= 1")
-        if self.N_h < 1:
-            bad.append("N_h must be >= 1")
+        for name in ("N_s", "N_h"):
+            try:
+                _count(name, getattr(self, name))
+            except ValueError as exc:
+                bad.append(str(exc))
+        sizes_ok = not bad
         if not self.theta > 0:
             bad.append("theta must be positive")
         if not self.w_s > 0:
@@ -119,8 +122,8 @@ class SpinSystemConfig:
             value = getattr(self, name)
             if not callable(value) and not math.isfinite(value):
                 bad.append(f"{name} must be finite")
-        if abs(self.J21 * self.N_h - self.J12 * self.N_s) > 1e-9 * max(
-                1.0, abs(self.J12 * self.N_s)):
+        if sizes_ok and abs(self.J21 * self.N_h - self.J12 * self.N_s) > (
+                1e-9 * max(1.0, abs(self.J12 * self.N_s))):
             bad.append("J21/J12 must equal N_s/N_h")
         if bad:
             raise ValueError("invalid spin config: " + "; ".join(bad))
@@ -260,7 +263,7 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
                      rng: RandomSource,
                      init: SpinMacroState | None = None,
                      sample_step: float | None = None) -> GlauberTrajectory:
-    """Continuous-time single-flip evolution up to the horizon.
+    """Continuous-time single-flip evolution up to a finite horizon > 0.
 
     Waiting times are exponential in the total rate; the event is chosen
     proportionally to the four directional rates.  init defaults to the
@@ -277,8 +280,8 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     stored values are the floats the first visit computed, so the
     trajectory is the same bit for bit.  Callable fields skip the table.
     """
-    if not horizon > 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     if sample_step is not None and not sample_step > 0:
         raise ValueError("sample_step must be positive")
     if init is None:
@@ -409,16 +412,15 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
                       sample_step: float = 1.0) -> MeanFieldReport:
     """Ensemble mean of the kinetics vs the deterministic rate equations.
 
-    Realization i runs on rng.substream(i).  The deterministic limit
-    drops the (S +/- 1) self-term, so its argument is
+    Realization i (of n_realizations >= 1) runs on rng.substream(i).  The
+    deterministic limit drops the (S +/- 1) self-term, so its argument is
     beta*(J11*s + J12*h + mu_s*b_s) and the H analogue; deviations at
     matched times scale as N^(-1/2).  N_s, N_h >= 100 recommended for
     the comparison to be meaningful.
     """
     from scipy.integrate import solve_ivp
 
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
+    n_realizations = _count("n_realizations", n_realizations)
     runs = [simulate_glauber(config, horizon, rng.substream(i), init,
                              sample_step)
             for i in range(n_realizations)]

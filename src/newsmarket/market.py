@@ -20,16 +20,16 @@ the same order, so both paths give bitwise-identical states.
 from __future__ import annotations
 
 import math
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .core import (_BOUND_SLACK, MarketState, ModelParams, RandomSource,
-                   Series, validate)
+                   Series, _count, validate)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -186,14 +186,6 @@ class SimulationRun:
                 for a, b, c in zip(self.s.values, self.h.values, self.p.values)]
 
 
-def _integral(name: str, value) -> int:
-    """value as an int (numpy integers pass), or a ValueError naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def simulate(params: ModelParams, init: MarketState, horizon_days: int,
              substeps: int = 8, rng: RandomSource | None = None,
              theta_profile: Series | None = None, mode: str = SIMPLIFIED,
@@ -207,19 +199,15 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     1/theta(day); beta2 is never rescaled.  beta1_shift is added to
     whatever beta1 is in force (a documented variant of the
     temperature-modulated runs).  horizon_days and substeps must be
-    integers (numpy integers included), the used part of theta_profile
-    positive and not subnormal, and the daily beta1 finite and
-    non-negative.
+    integers >= 1 (numpy integers included), the used part of
+    theta_profile positive and not subnormal, and the daily beta1 finite
+    and non-negative.
     """
     validate(params)
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
-    horizon_days = _integral("horizon_days", horizon_days)
-    substeps = _integral("substeps", substeps)
-    if horizon_days < 1:
-        raise ValueError("horizon_days must be >= 1")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    horizon_days = _count("horizon_days", horizon_days)
+    substeps = _count("substeps", substeps)
     if theta_profile is not None and len(theta_profile) < horizon_days:
         raise ValueError(f"theta_profile has {len(theta_profile)} days, "
                          f"fewer than horizon_days = {horizon_days}")
@@ -260,37 +248,35 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
         mode=mode, theta_profile=theta_profile, xi=xi_seq)
 
 
-def _run_realization(args):
-    (params, init, horizon, substeps, seed, stream, theta_profile, mode,
-     shift) = args
-    return simulate(params, init, horizon, substeps,
-                    RandomSource(seed, stream), theta_profile, mode, shift)
-
-
 def ensemble(params: ModelParams, init: MarketState, horizon: int,
              n_realizations: int, rng: RandomSource,
              theta_profile: Series | None = None, mode: str = SIMPLIFIED,
              substeps: int = 8, beta1_shift: float = 0.0,
              workers: int | None = None):
-    """Run n_realizations with independent substreams; realization i uses
-    stream_id = rng.stream_id + i.
+    """Run n_realizations (an integer >= 1) of simulate; realization i
+    runs on rng.substream(i).
 
     Returns (mean sentiment Series, list of SimulationRun).  Worker count
-    comes from the NEWSMARKET_WORKERS environment variable unless passed
-    explicitly; results are identical for any worker count.
+    comes from the NEWSMARKET_WORKERS environment variable (an integer)
+    unless passed explicitly; results are identical for any worker count.
     """
-    if n_realizations < 1:
-        raise ValueError("n_realizations must be >= 1")
+    n_realizations = _count("n_realizations", n_realizations)
     if workers is None:
-        workers = int(os.environ.get(_WORKERS_ENV, "1"))
-    jobs = [(params, init, horizon, substeps, rng.seed, rng.stream_id + i,
-             theta_profile, mode, beta1_shift)
-            for i in range(n_realizations)]
+        env = os.environ.get(_WORKERS_ENV, "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise ValueError(f"{_WORKERS_ENV} must be an integer, "
+                             f"got {env!r}") from None
+    run = partial(simulate, params, init, horizon, substeps,
+                  theta_profile=theta_profile, mode=mode,
+                  beta1_shift=beta1_shift)
+    streams = [rng.substream(i) for i in range(n_realizations)]
     if workers > 1 and n_realizations > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_realization, jobs))
+            runs = list(pool.map(run, streams))
     else:
-        runs = [_run_realization(j) for j in jobs]
+        runs = list(map(run, streams))
     mean = np.mean([r.s.values for r in runs], axis=0)
     return Series(mean, start_index=0, step=1.0), runs
 

@@ -33,7 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BOUND_SLACK, MarketState, ModelParams, Series, validate
+from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
+                   validate)
 from .market import (SIMPLIFIED, _daily_path, _left_box, _make_drift,
                      _rk4_step)
 from .sentiment import equilibria_1d
@@ -151,8 +152,11 @@ def find_equilibria(params: ModelParams) -> list:
     h* = tanh(delta) for every point; the s* values are the roots of the
     self-consistency relation with tilt c = beta2*tanh(delta), found by
     equilibria_1d (analytic brackets, core._brentq).  Points come back
-    sorted by s*.
+    sorted by s*.  The fields read must be finite; delta may be negative.
     """
+    for name in ("w_s", "w_h", "beta1", "beta2", "gamma", "delta"):
+        if not math.isfinite(getattr(params, name)):
+            raise ValueError(f"invalid parameters: {name} must be finite")
     h_star = math.tanh(params.delta)
     c = params.beta2 * h_star
     roots = equilibria_1d(params.beta1, c)
@@ -247,15 +251,13 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     """Daily-sampled trajectory of the autonomous system from init.
 
     Returns (s, h) as daily Series of length days; sample 0 is the
-    initial state.  Uses the same fixed-step scheme as the stochastic
-    simulator, so a noise-free simulation from the same state produces
-    the identical path.
+    initial state.  days and substeps are integers >= 1.  Uses the same
+    fixed-step scheme as the stochastic simulator, so a noise-free
+    simulation from the same state produces the identical path.
     """
     validate(params)
-    if days < 1:
-        raise ValueError("days must be >= 1")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    days = _count("days", days)
+    substeps = _count("substeps", substeps)
     dt = (-1.0 if reverse else 1.0) / substeps
     s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
                                np.zeros(days - 1), init.s, init.h, substeps,
@@ -269,8 +271,9 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
                        min_amplitude: float = 1e-3) -> LimitCycleReport:
     """Hunt for a closed orbit of the autonomous system from init.
 
-    Integrates up to max_days (noise is ignored; the system is treated as
-    autonomous regardless of params.kappa) and watches crossings of the
+    Integrates up to max_days with substeps RK4 steps a day (both
+    integers >= 1; noise is ignored, the system is treated as autonomous
+    regardless of params.kappa) and watches crossings of the
     section h = tanh(delta) with ds/dt > 0.  Existence requires both
     successive-crossing agreement in s within tol and an s-extent of at
     least min_amplitude over the final loop.  reverse=True integrates
@@ -281,10 +284,8 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     RuntimeError.
     """
     validate(params)
-    if max_days < 1:
-        raise ValueError("max_days must be >= 1")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
+    max_days = _count("max_days", max_days)
+    substeps = _count("substeps", substeps)
     h_section = math.tanh(params.delta)
     f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
     dt = 1.0 / substeps
@@ -296,7 +297,7 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     prev_t_c = None
     crossings = 0
     smin = smax = s
-    for k in range(int(max_days) * substeps):
+    for k in range(max_days * substeps):
         s0, g0 = s, h - h_section
         s, h = _rk4_step(f, s, h, step)
         t += dt
@@ -335,26 +336,26 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
                       steps: int):
     """Classify every equilibrium branch along a one-parameter sweep.
 
-    sweep names the varied field (gamma, beta2, or delta) and value_range
-    its finite (lo, hi); the parameters at both ends must pass validate,
-    so neither end may be negative.  Returns (rows, transitions): rows is
-    a list of (value, {branch: class}), transitions lists (value_before,
-    value_after, branch, class_before, class_after) for every branch whose
-    class changed between adjacent grid values, with "absent" marking
+    sweep names the varied field (gamma, beta2, or delta), value_range
+    its finite (lo, hi) and steps (an integer >= 2) the grid size; the
+    parameters at both ends must pass validate, so neither end may be
+    negative.  Returns (rows, transitions): rows is a list of (value,
+    {branch: class}), transitions lists (value_before, value_after,
+    branch, class_before, class_after) for every branch whose class
+    changed between adjacent grid values, with "absent" marking
     appearance or disappearance.
     """
     if sweep not in ("gamma", "beta2", "delta"):
         raise ValueError(f"cannot sweep {sweep!r}: pick gamma, beta2, "
                          "or delta")
-    if steps < 2:
-        raise ValueError("steps must be >= 2")
+    steps = _count("steps", steps, least=2)
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{sweep} range must be finite, got {lo}:{hi}")
     # Each sweepable field is valid on [0, inf), so the ends cover the grid.
     for end in (lo, hi):
         validate(params.replace(**{sweep: end}))
-    values = np.linspace(lo, hi, int(steps))
+    values = np.linspace(lo, hi, steps)
     rows = []
     transitions = []
     prev = None

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Series
+from .core import ModelParams, Series, _count
 from .reference import solve_sbar
 from .sentiment import equilibria_1d, integrate_sentiment
 
@@ -137,14 +137,14 @@ def iterative_theta_fit(H: Series, p_obs: Series, params: ModelParams,
     [1.0, 1.3] (step 0.005) gets: a reference level from solve_sbar, a
     sentiment path re-integrated from H with that beta1, and a restricted
     price refit of (a1, a2, a4).  The candidate with the smallest window
-    residual wins; theta = 1/beta1.  Windows are non-overlapping; a
-    trailing remainder is fitted as a shorter final window when it spans
-    at least 60 days, else dropped.
+    residual wins; theta = 1/beta1.  Windows are non-overlapping and
+    `window` days long (an integer >= MIN_WINDOW = 60); a trailing
+    remainder is fitted as a shorter final window when it spans at least
+    60 days, else dropped.
 
     Returns (theta, p_fit) covering exactly the fitted days.
     """
-    if window < MIN_WINDOW:
-        raise ValueError(f"window must be >= {MIN_WINDOW} days")
+    window = _count("window", window, least=MIN_WINDOW)
     if not (0.0 < sigma < 1.0):
         raise ValueError("sigma must lie in (0, 1)")
     if len(H) != len(p_obs):

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _BOUND_SLACK, ModelParams, Series, _brentq
+from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _count,
+                   validate)
 
 __all__ = [
     "STABLE",
@@ -54,17 +55,18 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
                         substeps: int = 8) -> Series:
     """Integrate sentiment over the daily grid of H.
 
-    Classical 4-stage Runge-Kutta with `substeps` steps per day; H is held
-    constant within each day (zero-order hold).  The drift points inward
-    at s = +-1 for any finite H, so the integrator asserts |s| <= 1 + 1e-9
-    and raises rather than clipping: a bound violation means an integrator
-    bug, not a modeling outcome.
+    Classical 4-stage Runge-Kutta with `substeps` (an integer >= 1) steps
+    per day; H is held constant within each day (zero-order hold).  params
+    must pass validate and s0 lie in [-1, 1].  The drift points inward at
+    s = +-1 for any finite H, so the integrator asserts |s| <= 1 + 1e-9
+    and raises rather than clipping: a bound violation (or a NaN state)
+    means an integrator failure, not a modeling outcome.
     """
+    validate(params)
     if H.step != 1.0:
         raise ValueError("H must be sampled daily (step = 1)")
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    if abs(s0) > 1:
+    substeps = _count("substeps", substeps)
+    if not abs(s0) <= 1:
         raise ValueError("s0 must lie in [-1, 1]")
     w_s = params.w_s
     b1 = params.beta1
@@ -74,6 +76,7 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     out = np.empty(n)
     out[0] = s = float(s0)
     dt = 1.0 / substeps
+    lim = 1.0 + _BOUND_SLACK
     tanh = math.tanh
     # Inlined rather than routed through market._rk4_step: the 1-D system
     # runs twice as fast this way, and iterative_theta_fit integrates it
@@ -89,7 +92,7 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
             y = s + dt * k3
             k4 = w_s * (tanh(b1 * y + drive) - y)
             s = s + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-            if abs(s) > 1.0 + _BOUND_SLACK:
+            if not abs(s) <= lim:
                 raise RuntimeError(
                     f"integrator failure: |s| = {abs(s)} beyond 1 at day {d}")
         out[d + 1] = s
@@ -111,11 +114,11 @@ def potential_uc(params: ModelParams, c: float,
     """Tilted sentiment potential w_s*(s^2/2 - ln cosh(beta1*s + c)/beta1).
 
     A positive tilt c deepens the positive well; above a critical tilt the
-    negative minimum disappears.  Extrema are located exactly (roots of
+    negative minimum disappears.  The curve is sampled at grid_size (an
+    integer >= 3) points of [-1, 1]; extrema are located exactly (roots of
     s = tanh(beta1*s + c)), not from the sampled grid.
     """
-    if grid_size < 3:
-        raise ValueError("grid_size must be >= 3")
+    grid_size = _count("grid_size", grid_size, least=3)
     b1 = params.beta1
     grid = np.linspace(-1.0, 1.0, grid_size)
     if b1 > 0:

@@ -231,6 +231,18 @@ def test_simulate_theory_worker_env_parity(params_file, tmp_path,
             (tmp_path / "par" / name).read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["abc", "2.5"])
+def test_simulate_theory_names_a_malformed_worker_env(params_file, tmp_path,
+                                                      monkeypatch, capsys,
+                                                      workers):
+    monkeypatch.setenv("NEWSMARKET_WORKERS", workers)
+    code = main(["simulate-theory", "--params", str(params_file),
+                 "--horizon", "10", "--out", str(tmp_path / "runs")])
+    assert code == 1
+    assert (f"NEWSMARKET_WORKERS must be an integer, got {workers!r}"
+            in capsys.readouterr().err)
+
+
 def test_simulate_theory_theta_profile(params_file, tmp_path):
     prof = tmp_path / "theta.csv"
     write_series(prof, Series(np.full(50, 1.25)), label="theta")

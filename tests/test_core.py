@@ -1,6 +1,7 @@
 """Parameter records, series carrier, random source, and text round-trips."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from newsmarket import cli
+from newsmarket.analytics import autocorrelation, mssa_leading
 from newsmarket.core import (
     MarketState,
     ModelParams,
@@ -22,8 +24,14 @@ from newsmarket.core import (
     validate,
     write_series,
 )
+from newsmarket.glauber import SpinSystemConfig, meanfield_compare
+from newsmarket.market import ensemble, simulate
+from newsmarket.phase import (bifurcation_sweep, detect_limit_cycle,
+                              integrate_autonomous)
+from newsmarket.pricing import iterative_theta_fit
 from newsmarket.reference import _averaged_gap, solve_sbar
-from newsmarket.sentiment import _self_consistency_gap
+from newsmarket.sentiment import (_self_consistency_gap, integrate_sentiment,
+                                  potential_uc)
 
 GOOD = dict(w_s=0.04, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.374, a2=0.002,
             gamma=56.0, delta=0.03, kappa=1.0, a4=6.5, s_star=0.131)
@@ -87,6 +95,60 @@ def test_series_basics():
         Series([0.0, math.nan])
     with pytest.raises(ValueError, match="step"):
         Series([1.0], step=0.0)
+
+
+_QUIET = ModelParams(**{**GOOD, "kappa": 0.0})
+_AT = MarketState(0.5, 0.0)
+_SIM = dict(params=_QUIET, init=_AT, horizon_days=5)
+_AUTO = dict(params=_QUIET, init=_AT, days=5)
+_CYCLE = dict(params=_QUIET, init=_AT, max_days=5)
+_SPINS = dict(N_s=4, N_h=2)
+_WAVE = Series(np.sin(np.arange(40)))
+
+# Every count argument in the package: (callable, valid keyword arguments,
+# the count's name, its least value).  The CLI's --realizations arrives as
+# an argparse int, so only its lower bound reaches core._count
+# (test_glauber_trajectory_rejects_zero_realizations).
+COUNT_SITES = [
+    (simulate, _SIM, "horizon_days", 1),
+    (simulate, _SIM, "substeps", 1),
+    (ensemble, dict(params=_QUIET, init=_AT, horizon=5, rng=RandomSource(0)),
+     "n_realizations", 1),
+    (meanfield_compare, dict(config=SpinSystemConfig(**_SPINS), horizon=1.0,
+                             rng=RandomSource(0)), "n_realizations", 1),
+    (integrate_autonomous, _AUTO, "days", 1),
+    (integrate_autonomous, _AUTO, "substeps", 1),
+    (detect_limit_cycle, _CYCLE, "max_days", 1),
+    (detect_limit_cycle, _CYCLE, "substeps", 1),
+    (bifurcation_sweep, dict(params=_QUIET, sweep="gamma",
+                             value_range=(0.0, 10.0)), "steps", 2),
+    (integrate_sentiment, dict(H=Series(np.zeros(5)), s0=0.5,
+                               params=_QUIET), "substeps", 1),
+    (potential_uc, dict(params=_QUIET, c=0.0), "grid_size", 3),
+    (SpinSystemConfig, _SPINS, "N_s", 1),
+    (SpinSystemConfig, _SPINS, "N_h", 1),
+    (autocorrelation, dict(x=_WAVE), "max_lag", 0),
+    (mssa_leading, dict(x=_WAVE, y=_WAVE), "window", 2),
+    (mssa_leading, dict(x=_WAVE, y=_WAVE, window=5), "n_components", 1),
+    (iterative_theta_fit, dict(H=_WAVE, p_obs=_WAVE, params=_QUIET),
+     "window", 60),
+]
+
+
+@pytest.mark.parametrize("value", [
+    2.5, math.nan, math.inf, "3",
+    pytest.param(None, id="below-least")])
+@pytest.mark.parametrize("call, kwargs, name, least", COUNT_SITES, ids=[
+    f"{call.__name__}-{name}" for call, _, name, _ in COUNT_SITES])
+def test_count_arguments_are_checked_by_name(call, kwargs, name, least,
+                                             value):
+    # non-integers used to truncate, pass, or die in range() unnamed
+    if value is None:
+        value, message = least - 1, f"{name} must be >= {least}"
+    else:
+        message = f"{name} must be an integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(**{**kwargs, name: value})
 
 
 def test_random_source_reproducible():

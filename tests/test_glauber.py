@@ -396,6 +396,36 @@ def test_nan_field_raises_instead_of_hanging():
         simulate_glauber(cfg, 10.0, RandomSource(0))
 
 
+def _counted_field():
+    """A constant field that fails the test after 10,000 evaluations."""
+    calls = 0
+
+    def b_s(t):
+        nonlocal calls
+        calls += 1
+        if calls > 10_000:
+            raise FieldCalledTooOften
+        return 0.1
+
+    return b_s
+
+
+@pytest.mark.parametrize("run", [
+    lambda cfg: simulate_glauber(cfg, math.inf, RandomSource(0)),
+    lambda cfg: simulate_glauber(cfg, math.inf, RandomSource(0),
+                                 sample_step=1.0),
+    lambda cfg: meanfield_compare(cfg, math.inf, 2, RandomSource(0)),
+], ids=["per-event", "grid", "meanfield"])
+def test_infinite_horizon_is_rejected_by_name(run):
+    # per-event sampling never reached the horizon (the field's call count
+    # stops it here); the grid size overflowed without a name
+    cfg = SpinSystemConfig(N_s=8, N_h=4, J11=1.0, mu_s=1.0,
+                           b_s=_counted_field())
+    with pytest.raises(ValueError,
+                       match="horizon must be positive and finite"):
+        run(cfg)
+
+
 def test_underflowing_constant_rates_raise_on_first_visit():
     # from the all-up state every flip rate underflows to 0.0
     frozen = SpinSystemConfig(N_s=8, N_h=4, J11=1000.0, J22=1000.0,

@@ -353,6 +353,14 @@ def test_negative_bias_mirrors_positive():
         assert q.stability == p.stability
 
 
+@pytest.mark.parametrize("name, value", [
+    ("gamma", math.nan), ("delta", math.inf), ("w_h", math.inf)])
+def test_find_equilibria_rejects_non_finite_fields(name, value):
+    # gamma = nan used to classify all three roots as UnstableFocus
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        find_equilibria(MAIN.replace(**{name: value}))
+
+
 @given(beta1=st.floats(min_value=1.02, max_value=1.6),
        gamma_bar=st.floats(min_value=0.3, max_value=4.0),
        delta=st.floats(min_value=0.0, max_value=0.01))

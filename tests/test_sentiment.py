@@ -80,6 +80,18 @@ def test_integrate_input_errors():
         integrate_sentiment(H, 0.0, PARAMS, substeps=0)
 
 
+@pytest.mark.parametrize("s0, params, error, match", [
+    (0.5, PARAMS.replace(w_s=math.nan), ValueError, "w_s must be finite"),
+    (math.nan, PARAMS, ValueError, r"s0 must lie in \[-1, 1\]"),
+    # the step overflows to a NaN state, which the bound check must catch
+    (0.5, PARAMS.replace(w_s=1e300), RuntimeError, "integrator failure"),
+])
+def test_integrate_names_nan_inputs_and_states(s0, params, error, match):
+    # each used to surface as "non-finite sample at position ..."
+    with pytest.raises(error, match=match):
+        integrate_sentiment(Series(np.zeros(5)), s0, params)
+
+
 def test_unstable_step_raises_rather_than_clipping():
     # w_s*dt = 500 is far past the RK4 stability limit.
     stiff = PARAMS.replace(w_s=500.0)
