@@ -4,6 +4,7 @@ Fourier smoothing, and multichannel singular spectrum reconstruction."""
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -112,7 +113,10 @@ def cross_correlation(x: Series, y: Series, lags) -> list:
     xv, yv = x.values, y.values
     out = []
     for lag in lags:
-        k = int(lag)
+        try:
+            k = operator.index(lag)
+        except TypeError:
+            raise ValueError(f"lag must be an integer, got {lag!r}") from None
         if abs(k) >= n - 1:
             raise ValueError(f"lag {k} leaves fewer than two pairs")
         if k >= 0:

@@ -23,8 +23,8 @@ from . import __version__, analytics, market, phase, sentiment
 from .core import (MarketState, ModelParams, RandomSource, _PARAM_FIELDS,
                    _count, _fields_line, _fmt, _load_record, _write_report,
                    _write_table, load_params, read_series, write_series)
-from .glauber import (SpinMacroState, SpinSystemConfig, meanfield_compare,
-                      simulate_glauber)
+from .glauber import (SpinMacroState, SpinSystemConfig, _runs,
+                      meanfield_compare)
 from .pricing import initial_sentiment, price_from_sentiment
 
 __all__ = ["main"]
@@ -212,18 +212,16 @@ def cmd_glauber(args) -> int:
             H=args.init_H if args.init_H is not None else config.N_h)
 
     if args.task == "trajectory":
-        _count("realizations", args.realizations)
+        n = _count("realizations", args.realizations)
         out = Path(args.out)
-        if args.realizations == 1:
-            runs = [(out, rng, [])]
-        else:
+        if n > 1:
             out.mkdir(parents=True, exist_ok=True)
-            runs = [(out / f"run_{i:03d}.csv", rng.substream(i),
-                     [f"realization: {i}"])
-                    for i in range(args.realizations)]
-        for path, stream, extra in runs:
-            traj = simulate_glauber(config, args.horizon, stream, init,
-                                    args.sample_step)
+        runs = _runs(config, args.horizon,
+                     [rng.substream(i) for i in range(n)], init,
+                     args.sample_step)
+        for i, traj in enumerate(runs):
+            path, extra = ((out, []) if n == 1 else
+                           (out / f"run_{i:03d}.csv", [f"realization: {i}"]))
             _write_table(path, head + extra + [f"events: {traj.n_events}"],
                          ("t", "s", "h"), zip(traj.times, traj.s, traj.h))
         return 0

@@ -214,15 +214,16 @@ class RandomSource:
     __slots__ = ("seed", "stream_id", "_gen")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed)
-        self.stream_id = int(stream_id)
+        self.seed = _count("seed", seed, least=0)
+        self.stream_id = _count("stream_id", stream_id, least=0)
         ss = np.random.SeedSequence(entropy=self.seed,
                                     spawn_key=(self.stream_id,))
         self._gen = np.random.Generator(np.random.PCG64(ss))
 
     def substream(self, offset: int) -> "RandomSource":
         """Independent stream at stream_id + offset (one per realization)."""
-        return RandomSource(self.seed, self.stream_id + int(offset))
+        return RandomSource(self.seed,
+                            self.stream_id + _count("offset", offset, least=0))
 
     def uniform(self, size=None):
         """Uniform draws on [0, 1)."""

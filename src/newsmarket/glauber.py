@@ -1,10 +1,10 @@
-"""Exact spin-flip kinetics for the two-species all-to-all model.
+"""Spin-flip kinetics for the two-species all-to-all model.
 
 Because every spin couples to the totals only, the per-spin dynamics
 collapses to a birth-death chain on the macrostate (S, H): flipping one
 investor spin moves S by +/-2 at a rate that depends on (S, H) alone.
-Simulating the macrostate is therefore exact, not an approximation, and
-costs O(1) per event instead of O(N).
+Simulating the macrostate instead of every spin therefore approximates
+nothing, and costs O(1) per event instead of O(N).
 
 The directional rates
 
@@ -23,13 +23,13 @@ the multiplicity ratio (N-S)/(N+S+2) and the logistic ratio e^{2*beta*g}
 reproduce the Gibbs ratio identically.  The constraint J21/J12 = N_s/N_h
 is what makes the cross term a single, consistent energy.
 
-b_s and b_h accept either constants or callables of time; rates use the
-field value at the current event time (the fields vary slowly compared
-with the waiting times in every intended use).  With constant fields the
-rates are a function of (S, H) alone, and a chain revisits few
-macrostates, so simulate_glauber computes each visited state's rates once
-and looks them up afterwards; callable fields are evaluated, and the
-rates computed, at every event.
+b_s and b_h accept constants or callables of time.  The kinetics are
+exact for constant fields only: a callable is read at the last event time
+and held until the next event, an approximation of the time-varying chain
+(close while the fields vary slowly against the waiting times).  Constant
+fields make the rates a function of (S, H) alone, so each visited state's
+rates are computed once per call, for all its realizations, and looked up
+afterwards; with callable fields they are computed at every event.
 
 simulate_glauber consumes its RandomSource in blocks of uniforms, each
 block bitwise equal to the same number of scalar rng.exponential() and
@@ -278,8 +278,17 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     computed on its first visit and looked up on later ones (the table
     holds at most _RATE_CACHE states and is emptied when full); the
     stored values are the floats the first visit computed, so the
-    trajectory is the same bit for bit.  Callable fields skip the table.
+    trajectory is the same bit for bit.  Callable fields skip the table;
+    they are read at the last event time and held until the next event,
+    which approximates the time-varying chain (exact for constants only).
     """
+    return next(_runs(config, horizon, [rng], init, sample_step))
+
+
+def _runs(config, horizon, rngs, init, sample_step):
+    """simulate_glauber's trajectory on each stream in rngs, with the checks,
+    the rates, the sampling grid and the constant-field rate table (whose
+    floats depend on (S, H) alone) set up once for all of them."""
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     if sample_step is not None and not sample_step > 0:
@@ -289,23 +298,16 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     _check_state(init, config)
 
     rates = _make_rates(config)
-    # constant fields are read once; callables are called at each event
-    b_s, b_h = bs, bh = config.b_s, config.b_h
-    bs_varies, bh_varies = callable(b_s), callable(b_h)
-    S, H = init.S, init.H
-    t = 0.0
-    n_events = 0
-    ts, ss, hs = [0.0], [S], [H]
     if sample_step is not None:
         n_samples = int(math.floor(horizon / sample_step)) + 1
         grid = sample_step * np.arange(n_samples)
         # inf follows the last grid point; the length check in the hold
         # loop stops it for an infinite waiting time too
         grid_t = grid.tolist() + [math.inf]
-        next_t = grid_t[1]
 
-    def partial_sums(S, H, bs, bh, t):
-        r1, r2, r3, r4 = rates(S, H, bs, bh)
+    def partial_sums(S, H, t):
+        r1, r2, r3, r4 = rates(S, H, _eval_field(config.b_s, t),
+                               _eval_field(config.b_h, t))
         r12 = r1 + r2
         r123 = r12 + r3
         total = r123 + r4
@@ -315,60 +317,59 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
                              "b_h)")
         return r1, r12, r123, total
 
-    # With constant fields the rates depend on (S, H) alone: each visited
-    # macrostate's partial sums are computed once and then looked up.
-    cache = None if bs_varies or bh_varies else {}
-    for wait, pick in _block_draws(rng):
-        if cache is None:
-            if bs_varies:
-                bs = b_s(t)
-            if bh_varies:
-                bh = b_h(t)
-            r1, r12, r123, total = partial_sums(S, H, bs, bh, t)
-        else:
-            try:
-                r1, r12, r123, total = cache[S, H]
-            except KeyError:
-                if len(cache) >= _RATE_CACHE:
-                    cache.clear()
-                r1, r12, r123, total = cache[S, H] = partial_sums(
-                    S, H, bs, bh, t)
-        t_new = t + wait / total
+    cache = None if callable(config.b_s) or callable(config.b_h) else {}
+    for rng in rngs:
+        S, H, t, n_events = init.S, init.H, 0.0, 0
+        ts, ss, hs = [0.0], [S], [H]
         if sample_step is not None:
-            while next_t <= t_new and len(ss) < n_samples:
+            next_t = grid_t[1]
+        for wait, pick in _block_draws(rng):
+            if cache is None:
+                r1, r12, r123, total = partial_sums(S, H, t)
+            else:
+                try:
+                    r1, r12, r123, total = cache[S, H]
+                except KeyError:
+                    if len(cache) >= _RATE_CACHE:
+                        cache.clear()
+                    r1, r12, r123, total = cache[S, H] = partial_sums(
+                        S, H, t)
+            t_new = t + wait / total
+            if sample_step is not None:
+                while next_t <= t_new and len(ss) < n_samples:
+                    ss.append(S)
+                    hs.append(H)
+                    next_t = grid_t[len(ss)]
+            if t_new > horizon:
+                break
+            u = pick * total
+            if u < r1:
+                S += 2
+            elif u < r12:
+                S -= 2
+            elif u < r123:
+                H += 2
+            else:
+                H -= 2
+            t = t_new
+            n_events += 1
+            if sample_step is None:
+                ts.append(t)
                 ss.append(S)
                 hs.append(H)
-                next_t = grid_t[len(ss)]
-        if t_new > horizon:
-            break
-        u = pick * total
-        if u < r1:
-            S += 2
-        elif u < r12:
-            S -= 2
-        elif u < r123:
-            H += 2
-        else:
-            H -= 2
-        t = t_new
-        n_events += 1
-        if sample_step is None:
-            ts.append(t)
-            ss.append(S)
-            hs.append(H)
 
-    if sample_step is None:
-        times = np.asarray(ts)
-    else:
-        times = grid
-        # k*sample_step can round just above the horizon, and past the
-        # last waiting time; that point holds the final state
-        ss.extend([S] * (n_samples - len(ss)))
-        hs.extend([H] * (n_samples - len(hs)))
-    s_arr = np.asarray(ss, dtype=float) / config.N_s
-    h_arr = np.asarray(hs, dtype=float) / config.N_h
-    return GlauberTrajectory(times=times, s=s_arr, h=h_arr,
-                             n_events=n_events, config=config)
+        if sample_step is None:
+            times = np.asarray(ts)
+        else:
+            times = grid.copy()  # no run shares its times with another
+            # k*sample_step can round just above the horizon, and past the
+            # last waiting time; that point holds the final state
+            ss.extend([S] * (n_samples - len(ss)))
+            hs.extend([H] * (n_samples - len(hs)))
+        yield GlauberTrajectory(times=times,
+                                s=np.asarray(ss, dtype=float) / config.N_s,
+                                h=np.asarray(hs, dtype=float) / config.N_h,
+                                n_events=n_events, config=config)
 
 
 def _meanfield_rhs(t, y, config):
@@ -421,18 +422,15 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     from scipy.integrate import solve_ivp
 
     n_realizations = _count("n_realizations", n_realizations)
-    runs = [simulate_glauber(config, horizon, rng.substream(i), init,
-                             sample_step)
-            for i in range(n_realizations)]
+    runs = list(_runs(config, horizon,
+                      [rng.substream(i) for i in range(n_realizations)],
+                      init, sample_step))
     times = runs[0].times
     mean_s = np.mean([r.s for r in runs], axis=0)
     mean_h = np.mean([r.h for r in runs], axis=0)
 
-    if init is None:
-        y0 = [1.0, 1.0]
-    else:
-        y0 = [init.S / config.N_s, init.H / config.N_h]
-    sol = solve_ivp(_meanfield_rhs, (0.0, float(horizon)), y0,
+    sol = solve_ivp(_meanfield_rhs, (0.0, float(horizon)),
+                    [runs[0].s[0], runs[0].h[0]],
                     t_eval=times, args=(config,), rtol=1e-10, atol=1e-12)
     if not sol.success:
         raise RuntimeError(f"rate-equation integration failed: {sol.message}")

@@ -72,8 +72,7 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     b1 = params.beta1
     b2 = params.beta2
     hvals = H.values
-    n = len(hvals)
-    out = np.empty(n)
+    out = np.empty(len(hvals))
     out[0] = s = float(s0)
     dt = 1.0 / substeps
     lim = 1.0 + _BOUND_SLACK
@@ -81,8 +80,8 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     # Inlined rather than routed through market._rk4_step: the 1-D system
     # runs twice as fast this way, and iterative_theta_fit integrates it
     # once per theta candidate.
-    for d in range(n - 1):
-        drive = b2 * hvals[d]
+    for d, hv in enumerate(hvals[:-1].tolist()):
+        drive = b2 * hv
         for _ in range(substeps):
             k1 = w_s * (tanh(b1 * s + drive) - s)
             y = s + 0.5 * dt * k1

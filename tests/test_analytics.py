@@ -2,6 +2,7 @@
 and singular-spectrum reconstruction."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -175,6 +176,25 @@ def test_cross_correlation_errors():
     flat = Series(np.r_[np.zeros(25), np.arange(25.0)])
     with pytest.raises(ValueError, match="zero variance"):
         cross_correlation(flat, x, [30])
+
+
+@pytest.mark.parametrize("lag", [2.5, math.nan, "2", None])
+def test_cross_correlation_rejects_non_integral_lags(lag):
+    # 2.5 used to return a row labelled lag 2
+    x = Series(np.random.default_rng(7).normal(size=200))
+    with pytest.raises(ValueError,
+                       match=re.escape(f"lag must be an integer, got {lag!r}")):
+        cross_correlation(x, x, [0, lag])
+
+
+def test_cross_correlation_takes_numpy_integer_lags():
+    x = Series(np.random.default_rng(7).normal(size=200))
+    y = Series(np.random.default_rng(8).normal(size=200))
+    got = cross_correlation(x, y, np.arange(-3, 4))
+    assert got == cross_correlation(x, y, range(-3, 4))
+    assert all(type(lag) is int for lag, _ in got)
+    with pytest.raises(ValueError, match="lag -199 leaves fewer than two"):
+        cross_correlation(x, y, [np.int64(-199)])
 
 
 def test_rolling_volatility_hand_example():

@@ -132,6 +132,9 @@ COUNT_SITES = [
     (mssa_leading, dict(x=_WAVE, y=_WAVE, window=5), "n_components", 1),
     (iterative_theta_fit, dict(H=_WAVE, p_obs=_WAVE, params=_QUIET),
      "window", 60),
+    (RandomSource, dict(seed=0), "seed", 0),
+    (RandomSource, dict(seed=0), "stream_id", 0),
+    (RandomSource(0).substream, {}, "offset", 0),
 ]
 
 
@@ -157,6 +160,14 @@ def test_random_source_reproducible():
     assert np.array_equal(a, b)
     c = RandomSource(42, stream_id=1).standard_normal(64)
     assert not np.array_equal(a, c)
+
+
+def test_random_source_takes_numpy_integers():
+    # 2.5 used to draw the seed-2 stream and substream(1.7) stream 1
+    rng = RandomSource(np.int64(7), np.int32(3)).substream(np.uint8(2))
+    assert (rng.seed, rng.stream_id) == (7, 5)
+    assert type(rng.seed) is int and type(rng.stream_id) is int
+    assert np.array_equal(rng.uniform(16), RandomSource(7, 5).uniform(16))
 
 
 def test_substream_matches_direct_construction():

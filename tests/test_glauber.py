@@ -321,13 +321,62 @@ def test_event_loop_matches_scalar_draws_with_a_tiny_rate_table(
     assert run.h.tobytes() == h.tobytes()
 
 
+@given(config=st.sampled_from([DB, DRIVEN, LARGE]),
+       cache_size=st.sampled_from([None, 1, 2, 7]),
+       horizon=st.sampled_from([3.0, 300.0]),
+       sample_step=st.sampled_from([None, 0.7]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       start=st.sampled_from(["all-up", "zero"]))
+@settings(max_examples=30, deadline=None)
+def test_every_realization_of_one_call_is_its_own_simulate_glauber(
+        config, cache_size, horizon, sample_step, seed, start):
+    # one set-up and one rate table shared by three streams leave each
+    # trajectory the bytes that simulate_glauber gives on its stream alone
+    init = None if start == "all-up" else SpinMacroState(
+        config.N_s % 2, config.N_h % 2)
+    rng = RandomSource(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if cache_size is not None:
+            mp.setattr(glauber, "_RATE_CACHE", cache_size)
+        runs = list(glauber._runs(config, horizon,
+                                  [rng.substream(i) for i in range(3)],
+                                  init, sample_step))
+        if sample_step is not None:
+            report = meanfield_compare(config, horizon, 3, rng, init,
+                                       sample_step)
+        alone = [simulate_glauber(config, horizon, rng.substream(i), init,
+                                  sample_step) for i in range(3)]
+    for run, want in zip(runs, alone):
+        assert run.n_events == want.n_events
+        assert run.times.tobytes() == want.times.tobytes()
+        assert run.s.tobytes() == want.s.tobytes()
+        assert run.h.tobytes() == want.h.tobytes()
+    if sample_step is not None:
+        assert report.times.tobytes() == alone[0].times.tobytes()
+        for got, arrays in ((report.mean_s, [r.s for r in alone]),
+                            (report.mean_h, [r.h for r in alone])):
+            assert got.tobytes() == np.mean(arrays, axis=0).tobytes()
+
+
+@pytest.mark.parametrize("sample_step", [None, 0.5])
+def test_the_runs_of_one_call_own_their_times(sample_step):
+    runs = list(glauber._runs(DB, 10.0, [RandomSource(0).substream(i)
+                                         for i in range(3)],
+                              None, sample_step))
+    first = runs[1].times.copy()
+    runs[0].times[:] = -1.0
+    assert np.array_equal(runs[1].times, first)
+    assert not np.shares_memory(runs[0].times, runs[2].times)
+
+
 def counted_rates(monkeypatch):
     """Patch glauber._make_rates so that every rate evaluation is counted;
-    returns the counter (a one-element list)."""
-    calls = [0]
+    returns the counter, a list of [rate evaluations, closures built]."""
+    calls = [0, 0]
     make = glauber._make_rates
 
     def counting_make_rates(config):
+        calls[1] += 1
         rates = make(config)
 
         def counted(*args):
@@ -351,6 +400,21 @@ def test_constant_fields_compute_rates_once_per_visited_state(monkeypatch):
     calls[0] = 0
     simulate_glauber(DB, 2000.0, RandomSource(3))
     assert len(visited) < calls[0] < run.n_events
+
+
+def test_meanfield_compare_computes_each_state_once_for_all_runs(
+        monkeypatch):
+    calls = counted_rates(monkeypatch)
+    meanfield_compare(DB, 200.0, 5, RandomSource(3))
+    evaluations, builds = calls
+    assert builds == 1
+    # the states each realization visits, from its per-event trajectory
+    runs = [simulate_glauber(DB, 200.0, RandomSource(3).substream(i))
+            for i in range(5)]
+    visited = [set(zip(r.s.tolist(), r.h.tolist())) for r in runs]
+    assert evaluations == len(set().union(*visited))
+    # realizations share states, so one table per realization costs more
+    assert evaluations < sum(map(len, visited))
 
 
 def test_callable_fields_compute_rates_at_every_event(monkeypatch):

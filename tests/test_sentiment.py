@@ -4,11 +4,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from newsmarket.core import ModelParams, Series
+from newsmarket.core import _BOUND_SLACK, ModelParams, Series
 from newsmarket.phase import delta_critical
 from newsmarket.sentiment import (
     STABLE,
@@ -98,6 +98,58 @@ def test_unstable_step_raises_rather_than_clipping():
     H = Series(np.full(10, 1.0))
     with pytest.raises(RuntimeError, match="integrator failure"):
         integrate_sentiment(H, -1.0, stiff, substeps=1)
+
+
+def _numpy_scalar_days(H, s0, params, substeps):
+    """integrate_sentiment's day loop as it read the drive before: one
+    numpy scalar H.values[d] per day, so every stage adds a numpy
+    scalar."""
+    w_s, b1, b2 = params.w_s, params.beta1, params.beta2
+    hvals = H.values
+    out = np.empty(len(hvals))
+    out[0] = s = float(s0)
+    dt = 1.0 / substeps
+    for d in range(len(hvals) - 1):
+        drive = b2 * hvals[d]
+        for _ in range(substeps):
+            k1 = w_s * (math.tanh(b1 * s + drive) - s)
+            y = s + 0.5 * dt * k1
+            k2 = w_s * (math.tanh(b1 * y + drive) - y)
+            y = s + 0.5 * dt * k2
+            k3 = w_s * (math.tanh(b1 * y + drive) - y)
+            y = s + dt * k3
+            k4 = w_s * (math.tanh(b1 * y + drive) - y)
+            s = s + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+            if not abs(s) <= 1.0 + _BOUND_SLACK:
+                return f"integrator failure: |s| = {abs(s)} beyond 1 at day {d}"
+        out[d + 1] = s
+    return out.tobytes()
+
+
+@given(params=st.builds(
+           PARAMS.replace,
+           w_s=st.floats(min_value=0.001, max_value=2.0),
+           beta1=st.floats(min_value=0.0, max_value=3.0),
+           beta2=st.floats(min_value=0.0, max_value=3.0)),
+       s0=st.floats(min_value=-1.0, max_value=1.0),
+       n=st.integers(min_value=1, max_value=80),
+       substeps=st.integers(min_value=1, max_value=8),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+@example(params=PARAMS.replace(w_s=500.0), s0=-1.0, n=10, substeps=1, seed=0)
+@settings(max_examples=80, deadline=None)
+def test_day_loop_matches_the_numpy_scalar_loop_bitwise(params, s0, n,
+                                                        substeps, seed):
+    # the drive is read from a list of floats; the path keeps its bytes
+    H = Series(np.random.default_rng(seed).normal(0.0, 0.5, n),
+               start_index=seed % 7)
+    try:
+        got = integrate_sentiment(H, s0, params, substeps)
+    except RuntimeError as err:
+        outcome = str(err)
+    else:
+        outcome = got.values.tobytes()
+        assert got.start_index == H.start_index
+    assert outcome == _numpy_scalar_days(H, s0, params, substeps)
 
 
 def test_potential_is_even_without_tilt():
