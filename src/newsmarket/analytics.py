@@ -23,11 +23,12 @@ __all__ = [
 ]
 
 
-def _lag_samples(series: Series, days: float, what: str) -> int:
+def _lag_samples(series: Series, days: float, name: str) -> int:
     lag = days / series.step
-    if abs(lag - round(lag)) > 1e-9 or round(lag) < 1:
-        raise ValueError(f"{what} of {days} days is not a positive "
-                         f"multiple of the {series.step}-day step")
+    if not (math.isfinite(lag) and abs(lag - round(lag)) <= 1e-9
+            and round(lag) >= 1):
+        raise ValueError(f"{name} = {days} is not a positive multiple "
+                         f"of the {series.step}-day step")
     return int(round(lag))
 
 
@@ -36,7 +37,7 @@ def log_returns(p: Series, horizon_days: int) -> Series:
 
     The output keeps p's grid, starting `horizon_days` later.
     """
-    lag = _lag_samples(p, horizon_days, "return horizon")
+    lag = _lag_samples(p, horizon_days, "horizon_days")
     if len(p) <= lag:
         raise ValueError(f"series length {len(p)} cannot support a "
                          f"{horizon_days}-day return")
@@ -138,8 +139,8 @@ def rolling_volatility(x: Series, increment_days: int,
     The window holds m = floor(window/increment) increments; the output
     starts m*increment days after the input (shortened head).
     """
-    inc = _lag_samples(x, increment_days, "increment")
-    win = _lag_samples(x, window_days, "window")
+    inc = _lag_samples(x, increment_days, "increment_days")
+    win = _lag_samples(x, window_days, "window_days")
     if win <= inc:
         raise ValueError("window must exceed the increment")
     m = win // inc
@@ -160,12 +161,15 @@ def rolling_volatility(x: Series, increment_days: int,
 def fourier_lowpass(x: Series, min_period_days: float) -> Series:
     """Zero every Fourier bin with period below min_period, keep the rest.
 
-    The mean (zero-frequency bin) always survives.  Endpoint behavior
-    reflects the transform's periodic extension, so the first and last
-    half-periods are smoothed toward each other; treat them as edge
-    artifacts.  The operation is a projection: applying it twice changes
-    nothing.
+    min_period_days must be positive.  The mean (zero-frequency bin)
+    always survives.  Endpoint behavior reflects the transform's periodic
+    extension, so the first and last half-periods are smoothed toward
+    each other; treat them as edge artifacts.  The operation is a
+    projection: applying it twice changes nothing.
     """
+    if not min_period_days > 0:
+        raise ValueError(f"min_period_days must be positive, got "
+                         f"{min_period_days}")
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")

@@ -60,13 +60,7 @@ def cmd_simulate_empirical(args) -> int:
 
 
 def _default_theory_init(params: ModelParams) -> MarketState:
-    pts = phase.find_equilibria(params)
-    pick = None
-    for pt in pts:
-        if pt.branch in ("s_plus", "paramagnetic"):
-            pick = pt
-    if pick is None:
-        pick = pts[-1]
+    pick = phase.find_equilibria(params)[-1]
     return MarketState(s=pick.s_star_pt, h=pick.h_star_pt)
 
 

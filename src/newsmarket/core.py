@@ -167,8 +167,9 @@ class MarketState:
 class Series:
     """Uniformly sampled business-day series.
 
-    start_index is the integer day index of the first sample, step the
-    spacing in days (1.0 for daily series).  values is a 1-D float array.
+    start_index is the integer day index of the first sample (3.0 passes
+    as 3), step the spacing in days (1.0 for daily series).  values is a
+    1-D float array.
     """
 
     __slots__ = ("start_index", "step", "values")
@@ -184,6 +185,8 @@ class Series:
             raise ValueError(f"non-finite sample at position {i}")
         if not (step > 0):
             raise ValueError("step must be positive")
+        if not float(start_index).is_integer():
+            raise ValueError(f"start_index {start_index!r} is not an integer")
         self.values = values
         self.start_index = int(start_index)
         self.step = float(step)
@@ -316,6 +319,15 @@ def _brentq(f, a, b, args=()):
 # plain-text interfaces
 
 
+def _lines(path):
+    """(line number, text) of every non-blank line of an input file, with
+    the `#` comment and the surrounding whitespace removed."""
+    for lineno, raw in enumerate(Path(path).read_text().splitlines(), 1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_kv_file(path) -> dict[str, float]:
     """Parse a `name = value` config file; `#` starts a comment.
 
@@ -324,11 +336,7 @@ def parse_kv_file(path) -> dict[str, float]:
     """
     out: dict[str, float] = {}
     first_line: dict[str, int] = {}
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in _lines(path):
         if "=" not in line:
             raise ValueError(f"{path}: line {lineno}: expected 'name = value'")
         name, _, value = line.partition("=")
@@ -380,21 +388,17 @@ def load_params(path, **overrides) -> ModelParams:
 def read_series(path, column=None) -> Series:
     """Read one value column of a `date_index,...` CSV into a Series.
 
-    `#` lines are comments; an optional non-numeric first row names the
+    `#` starts a comment; an optional non-numeric first row names the
     columns.  column picks the value column by name or 0-based position
     (default: the first column after the index).  Malformed or
     non-finite rows raise with the line number; indices must be
-    uniformly spaced.
+    uniformly spaced, and the first is the Series' start_index.
     """
     indices: list[float] = []
     values: list[float] = []
     names: list[str] | None = None
     col = column if isinstance(column, int) else None
-    text = Path(path).read_text()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in _lines(path):
         parts = [p.strip() for p in line.split(",")]
         if names is None and not values:
             try:
@@ -427,13 +431,11 @@ def read_series(path, column=None) -> Series:
         values.append(val)
     if not values:
         raise ValueError(f"{path}: no data rows")
-    if len(values) == 1:
-        return Series(values, start_index=int(indices[0]), step=1.0)
-    steps = np.diff(indices)
-    step = steps[0]
-    if step <= 0 or not np.allclose(steps, step, rtol=0, atol=1e-9):
+    step = indices[1] - indices[0] if len(values) > 1 else 1.0
+    if not (step > 0 and np.allclose(np.diff(indices), step, rtol=0,
+                                     atol=1e-9)):
         raise ValueError(f"{path}: indices are not uniformly increasing")
-    return Series(values, start_index=int(round(indices[0])), step=float(step))
+    return Series(values, start_index=indices[0], step=step)
 
 
 def write_series(path, series: Series, label: str = "value",

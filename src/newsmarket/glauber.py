@@ -413,7 +413,8 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
                       sample_step: float = 1.0) -> MeanFieldReport:
     """Ensemble mean of the kinetics vs the deterministic rate equations.
 
-    Realization i (of n_realizations >= 1) runs on rng.substream(i).  The
+    Realization i (of n_realizations >= 1) runs on rng.substream(i), and
+    all are sampled on the grid k*sample_step (None is rejected).  The
     deterministic limit drops the (S +/- 1) self-term, so its argument is
     beta*(J11*s + J12*h + mu_s*b_s) and the H analogue; deviations at
     matched times scale as N^(-1/2).  N_s, N_h >= 100 recommended for
@@ -421,6 +422,9 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     """
     from scipy.integrate import solve_ivp
 
+    if sample_step is None:
+        raise ValueError("meanfield_compare needs a sample_step: runs "
+                         "sampled per event cannot be averaged")
     n_realizations = _count("n_realizations", n_realizations)
     runs = list(_runs(config, horizon,
                       [rng.substream(i) for i in range(n_realizations)],

@@ -112,16 +112,17 @@ def _psi_phi_eta(s_star: float, params: ModelParams):
 def classify(point, params: ModelParams, branch: str = "") -> EquilibriumPoint:
     """Classify a fixed point (s*, h*) by its linearization.
 
-    The point must satisfy both equilibrium relations to 1e-8.  Returns
-    the full EquilibriumPoint record; eigenvalues in rescaled time.
+    The point must satisfy both equilibrium relations to 1e-8 (a NaN
+    coordinate does not).  Returns the full EquilibriumPoint record;
+    eigenvalues in rescaled time.
     """
     s_star, h_star = float(point[0]), float(point[1])
     r1 = abs(s_star - math.tanh(params.beta1 * s_star
                                 + params.beta2 * h_star))
     r2 = abs(h_star - math.tanh(params.delta))
-    if r1 > _RESIDUAL_TOL or r2 > _RESIDUAL_TOL:
+    if not (r1 <= _RESIDUAL_TOL and r2 <= _RESIDUAL_TOL):
         raise ValueError(
-            f"({s_star}, {h_star}) is not an equilibrium: residuals "
+            f"point ({s_star}, {h_star}) is not an equilibrium: residuals "
             f"{r1:.3g}, {r2:.3g} exceed {_RESIDUAL_TOL}")
 
     psi, phi, eta = _psi_phi_eta(s_star, params)
@@ -205,9 +206,11 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
     """The three gamma values bounding the class sequence on a stable branch.
 
     Returns (g_node_focus, g_focus_unstable, g_unstable_node), always
-    increasing.  Only defined where psi > 0; the shallow-well branch is a
-    saddle at every gamma.
+    increasing.  s_star_pt must lie in [-1, 1].  Only defined where
+    psi > 0; the shallow-well branch is a saddle at every gamma.
     """
+    if not abs(s_star_pt) <= 1.0:
+        raise ValueError(f"s_star_pt must lie in [-1, 1], got {s_star_pt}")
     one_m = 1.0 - s_star_pt * s_star_pt
     x = (params.w_s / params.w_h) * (1.0 - params.beta1 * one_m)
     if x <= 0.0:
@@ -276,7 +279,8 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     regardless of params.kappa) and watches crossings of the
     section h = tanh(delta) with ds/dt > 0.  Existence requires both
     successive-crossing agreement in s within tol and an s-extent of at
-    least min_amplitude over the final loop.  reverse=True integrates
+    least min_amplitude over the final loop (tol > 0, min_amplitude >= 0,
+    neither NaN).  reverse=True integrates
     backward in time, which turns unstable cycles into attractors; orbits
     may then leave [-1, 1], which ends the search with exists False.
     Forward in time the drift points inward on the boundary, so leaving
@@ -286,6 +290,11 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     validate(params)
     max_days = _count("max_days", max_days)
     substeps = _count("substeps", substeps)
+    if not tol > 0.0:
+        raise ValueError(f"tol must be positive, got {tol}")
+    if not min_amplitude >= 0.0:
+        raise ValueError(f"min_amplitude must be non-negative, got "
+                         f"{min_amplitude}")
     h_section = math.tanh(params.delta)
     f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
     dt = 1.0 / substeps
@@ -304,9 +313,7 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
         if not (abs(s) <= lim and abs(h) <= lim):
             if not reverse:
                 raise _left_box(k // substeps, s, h)
-            # Reverse-time escape from the physical box: nothing closed here.
-            return LimitCycleReport(False, 0.0, (smin, smax), crossings,
-                                    stable=False)
+            break  # reverse-time escape from the physical box: no cycle
         if s < smin:
             smin = s
         elif s > smax:

@@ -52,10 +52,9 @@ def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
         raise ValueError("beta1 must lie in [0, 2]")
     if not (0.0 <= sigma < 1.0):
         raise ValueError("sigma must lie in [0, 1)")
-    if beta1 <= 1.0:
-        return (0.0, True) if full_output else 0.0
     args = (beta1, sigma)
-    if _averaged_gap(_BRACKET_LO, *args) * _averaged_gap(1.0, *args) > 0.0:
+    if beta1 <= 1.0 or (_averaged_gap(_BRACKET_LO, *args)
+                        * _averaged_gap(1.0, *args) > 0.0):
         return (0.0, True) if full_output else 0.0
     root = _brentq(_averaged_gap, _BRACKET_LO, 1.0, args=args)
     return (root, False) if full_output else root

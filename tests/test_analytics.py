@@ -333,3 +333,32 @@ def test_sentiment_leads_price_on_the_cycle():
     lag, corr = max(rows, key=lambda r: r[1])
     assert 5 <= lag <= 30
     assert corr > 0.99
+
+
+@pytest.mark.parametrize("days", [math.nan, math.inf, -math.inf])
+def test_log_returns_rejects_non_finite_horizon(days):
+    with pytest.raises(ValueError, match="horizon_days"):
+        log_returns(Series(np.arange(50.0)), days)
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(increment_days=math.nan, window_days=30), "increment_days"),
+    (dict(increment_days=math.inf, window_days=30), "increment_days"),
+    (dict(increment_days=5, window_days=math.nan), "window_days"),
+    (dict(increment_days=5, window_days=math.inf), "window_days"),
+])
+def test_rolling_volatility_rejects_non_finite_days(kw, name):
+    with pytest.raises(ValueError, match=name):
+        rolling_volatility(Series(np.arange(100.0)), **kw)
+
+
+@pytest.mark.parametrize("min_period", [math.nan, 0.0, -10.0])
+def test_fourier_lowpass_rejects_a_non_positive_period(min_period):
+    with pytest.raises(ValueError, match="min_period_days"):
+        fourier_lowpass(Series(np.sin(np.arange(40.0))), min_period)
+
+
+def test_mssa_rejects_more_components_than_channels():
+    x = Series(np.sin(np.arange(40.0)))
+    with pytest.raises(ValueError, match="exceeds the number of channels"):
+        mssa_leading(x, x, window=3, n_components=7)

@@ -546,3 +546,52 @@ def test_stats_zero_variance_error(tmp_path, capsys):
                  "--out", str(tmp_path / "m.txt")])
     assert code == 1
     assert "zero variance" in capsys.readouterr().err
+
+
+def test_stats_histogram_of_a_constant_column(tmp_path, capsys):
+    f = tmp_path / "flat.csv"
+    write_series(f, Series(np.full(60, 1.5)))
+    code = main(["stats", "histogram", "--input", str(f),
+                 "--out", str(tmp_path / "h.csv")])
+    assert code == 1
+    assert "constant input cannot be normalized" in capsys.readouterr().err
+
+
+def test_stats_lowpass_rejects_a_nan_period(tmp_path, capsys):
+    f, _ = make_price_file(tmp_path)
+    out = tmp_path / "low.csv"
+    code = main(["stats", "lowpass", "--input", str(f), "--min-period",
+                 "nan", "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "min_period_days" in capsys.readouterr().err
+
+
+def test_analyze_thresholds_without_a_stable_branch(tmp_path, capsys):
+    # beta1 = 1, beta2 = 0: the one root s* = 0 has beta1*(1 - s*^2) = 1
+    f = tmp_path / "flat.txt"
+    f.write_text(MAIN_TEXT.replace("beta1 = 1.1", "beta1 = 1.0")
+                 .replace("beta2 = 0.55", "beta2 = 0.0"))
+    out = tmp_path / "thr.csv"
+    code = main(["analyze", "thresholds", "--params", str(f),
+                 "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert ("no branch admits node/focus transitions"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("text", [
+    MAIN_TEXT.replace("beta1 = 1.1", "beta1 = 0.9"),
+    MAIN_TEXT.replace("delta = 0.03", "delta = 0.5"),
+], ids=["paramagnetic", "past-the-fold"])
+def test_default_theory_start_with_one_root(tmp_path, text):
+    # test_simulate_theory_default_init_is_equilibrium covers three roots
+    f = tmp_path / "p.txt"
+    f.write_text(text)
+    out = tmp_path / "run"
+    assert main(["simulate-theory", "--params", str(f), "--horizon", "3",
+                 "--out", str(out)]) == 0
+    manifest = read_report(out / "manifest.txt")
+    top = max(phase.find_equilibria(load_params(f)),
+              key=lambda p: p.s_star_pt)
+    assert float(manifest["init_s"]) == top.s_star_pt
+    assert float(manifest["init_h"]) == top.h_star_pt

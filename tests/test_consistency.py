@@ -15,8 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from newsmarket.core import MarketState, ModelParams
-from newsmarket.glauber import SpinSystemConfig, _meanfield_rhs
+from newsmarket.core import MarketState, ModelParams, RandomSource
+from newsmarket.glauber import SpinSystemConfig, _meanfield_rhs, _runs
 from newsmarket.market import FULL, drift, simulate
 
 
@@ -87,3 +87,27 @@ def test_full_mode_path_tracks_the_spin_rate_equation(config, init):
     assert gap < 1e-6
     # and the comparison is not between two resting states
     assert max(np.ptp(run.s.values), np.ptp(run.h.values)) > 0.1
+
+
+def test_glauber_ensemble_tracks_the_full_mode_path():
+    # Kurtz (1970): the density of a jump process whose rates scale with N
+    # follows its rate equation within O(N^-1/2); the mean of R
+    # independent runs is within O((N*R)^-1/2).  Over 200 seeds of this
+    # set-up the largest gap times sqrt(N*R) had median 1.75 and maximum
+    # 4.1, so c = 5 bounds it.
+    n, runs, days = 1000, 20, 20
+    config = SpinSystemConfig(N_s=n, N_h=n, J11=1.1, J12=0.55, J21=0.55,
+                              theta=1.0, w_s=0.2, w_h=0.4)
+    path = simulate(market_twin(config), MarketState(1.0, 1.0), days + 1, 8,
+                    mode=FULL)
+    rng = RandomSource(11)
+    trajs = list(_runs(config, float(days),
+                       [rng.substream(i) for i in range(runs)], None, 1.0))
+    mean_s = np.mean([r.s for r in trajs], axis=0)
+    mean_h = np.mean([r.h for r in trajs], axis=0)
+    gap = max(np.max(np.abs(mean_s - path.s.values)),
+              np.max(np.abs(mean_h - path.h.values)))
+    assert gap < 5.0 / np.sqrt(n * runs)
+    # both start all-up and relax: h falls by more than half
+    assert mean_s[0] == mean_h[0] == 1.0
+    assert np.ptp(path.h.values) > 0.5

@@ -376,3 +376,56 @@ def test_brentq_raises_like_scipy():
     for solver in (brentq, _brentq):
         with pytest.raises(RuntimeError, match="converge"):
             solver(step, -1e300, 1e300)
+
+
+@pytest.mark.parametrize("start", [2.5, math.nan, math.inf, -math.inf])
+def test_series_rejects_a_non_integral_start_by_name(start):
+    with pytest.raises(ValueError, match="start_index"):
+        Series([1.0, 2.0], start_index=start)
+
+
+def test_series_takes_an_integral_float_start():
+    s = Series([1.0], start_index=np.float64(-3.0))
+    assert s.start_index == -3 and type(s.start_index) is int
+
+
+@pytest.mark.parametrize("text", [
+    "date_index,value\n0.25,1.0\n1.25,2.0\n",    # used to read as day 0
+    "date_index,value\n2.7,1.0\n",                # used to read as day 2
+    "date_index,value\nnan,1.0\n",
+])
+def test_read_series_rejects_a_non_integral_first_index(tmp_path, text):
+    f = tmp_path / "s.csv"
+    f.write_text(text)
+    with pytest.raises(ValueError, match="start_index"):
+        read_series(f)
+
+
+def test_read_series_one_row(tmp_path):
+    f = tmp_path / "one.csv"
+    f.write_text("date_index,value\n7,0.5\n")
+    back = read_series(f)
+    assert (back.start_index, back.step, list(back.values)) == (7, 1.0, [0.5])
+
+
+def test_read_series_trailing_comment_is_a_comment(tmp_path):
+    plain, noted = tmp_path / "plain.csv", tmp_path / "noted.csv"
+    plain.write_text("date_index,s,h\n0,0.1,0.9\n1,0.2,0.8\n")
+    noted.write_text("date_index,s,h  # names\n0,0.1,0.9 # note\n"
+                     "  # indented comment\n1,0.2,0.8#\n")
+    for column in (None, "h"):
+        a, b = read_series(plain, column), read_series(noted, column)
+        assert np.array_equal(a.values, b.values)
+        assert (a.start_index, a.step) == (b.start_index, b.step)
+
+
+def test_read_series_short_row_is_named(tmp_path):
+    f = tmp_path / "short.csv"
+    f.write_text("date_index,s,h\n0,0.1,0.9\n1\n")
+    with pytest.raises(ValueError, match="line 3: expected at least 2 "
+                                         "columns"):
+        read_series(f)
+    f.write_text("0,0.1\n")
+    with pytest.raises(ValueError, match="line 1: expected at least 3 "
+                                         "columns"):
+        read_series(f, column=2)

@@ -568,3 +568,18 @@ def test_meanfield_rejects_zero_realizations():
     cfg = SpinSystemConfig(N_s=100, N_h=2)
     with pytest.raises(ValueError, match="n_realizations"):
         meanfield_compare(cfg, 5.0, 0, RandomSource(0))
+
+
+def test_state_beyond_n_h_is_named():
+    cfg = SpinSystemConfig(N_s=4, N_h=2)
+    with pytest.raises(ValueError, match=r"\|H\| = 4 exceeds N_h = 2"):
+        transition_rates(SpinMacroState(0, 4), cfg)
+
+
+@pytest.mark.parametrize("n_realizations", [1, 2])
+def test_meanfield_compare_needs_a_sample_grid(n_realizations):
+    # per-event samples have no common times to average or compare at
+    cfg = SpinSystemConfig(N_s=100, N_h=10, J11=0.5)
+    with pytest.raises(ValueError, match="sample_step"):
+        meanfield_compare(cfg, 5.0, n_realizations, RandomSource(0),
+                          sample_step=None)

@@ -422,3 +422,10 @@ def test_noise_dominance_map_values():
 def test_noise_dominance_requires_noise():
     with pytest.raises(ValueError, match="kappa"):
         noise_dominance_map(QUIET, [0.0], [0.0])
+
+
+def test_full_mode_step_failure_raises():
+    # the full-mode branch of the day loop has its own bound check
+    stiff = QUIET.replace(w_s=1e300)
+    with pytest.raises(RuntimeError, match="integrator failure at day 0"):
+        simulate(stiff, MarketState(0.9, 0.0), 5, mode=FULL)

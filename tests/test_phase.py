@@ -372,3 +372,38 @@ def test_saddle_iff_shallow_well(beta1, gamma_bar, delta):
         if abs(psi) < 1e-10:
             continue
         assert (q.stability == SADDLE) == (psi < 0)
+
+
+@pytest.mark.parametrize("point", [(math.nan, math.nan),
+                                   (math.nan, math.tanh(0.03)),
+                                   (0.5590495114704737, math.nan)])
+def test_classify_rejects_a_nan_point(point):
+    with pytest.raises(ValueError, match="point .* is not an equilibrium"):
+        classify(point, MAIN)
+
+
+@pytest.mark.parametrize("s_star", [math.nan, math.inf, 1.5, -1.5])
+def test_gamma_thresholds_rejects_a_point_outside_the_box(s_star):
+    with pytest.raises(ValueError, match="s_star_pt"):
+        gamma_thresholds(s_star, MAIN)
+
+
+@pytest.mark.parametrize("kw, name", [
+    (dict(tol=math.nan), "tol"),
+    (dict(tol=-1.0), "tol"),
+    (dict(tol=0.0), "tol"),
+    (dict(min_amplitude=math.nan), "min_amplitude"),
+    (dict(min_amplitude=-1e-3), "min_amplitude"),
+])
+def test_detect_limit_cycle_rejects_bad_tolerances(kw, name):
+    with pytest.raises(ValueError, match=name):
+        detect_limit_cycle(SYM.replace(gamma=62.0), MarketState(0.9, 0.0),
+                           200, **kw)
+
+
+def test_tangency_labels_the_two_outer_branches():
+    # at delta = delta_critical the shallow well and the middle root merge
+    # into one double root at s = -sqrt((beta1 - 1)/beta1), where psi = 0
+    pts = find_equilibria(MAIN.replace(delta=delta_critical(1.1, 0.55)))
+    assert [p.branch for p in pts] == ["s_minus", "s_plus"]
+    assert pts[0].s_star_pt == pytest.approx(-math.sqrt(0.1 / 1.1), abs=1e-6)
