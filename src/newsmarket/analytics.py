@@ -32,18 +32,28 @@ def _lag_samples(series: Series, days: float, name: str) -> int:
     return int(round(lag))
 
 
+def _shifted_start(series: Series, shift: float, names: str) -> float:
+    """series' start moved `shift` days later, which must be whole days
+    since a Series starts on a day index."""
+    if not float(shift).is_integer():
+        raise ValueError(f"{names} must move the output start by whole "
+                         f"days, not {shift}")
+    return series.start_index + shift
+
+
 def log_returns(p: Series, horizon_days: int) -> Series:
     """Differences p_t - p_(t-horizon); p is already a log price.
 
-    The output keeps p's grid, starting `horizon_days` later.
+    The output keeps p's grid, starting `horizon_days` (whole days)
+    later.
     """
     lag = _lag_samples(p, horizon_days, "horizon_days")
     if len(p) <= lag:
         raise ValueError(f"series length {len(p)} cannot support a "
                          f"{horizon_days}-day return")
+    start = _shifted_start(p, horizon_days, "horizon_days")
     vals = p.values[lag:] - p.values[:-lag]
-    return Series(vals, start_index=p.start_index + horizon_days,
-                  step=p.step)
+    return Series(vals, start_index=start, step=p.step)
 
 
 def _shape_moments(x: np.ndarray) -> tuple:
@@ -137,7 +147,8 @@ def rolling_volatility(x: Series, increment_days: int,
     window, evaluated at every date with a full window behind it.
 
     The window holds m = floor(window/increment) increments; the output
-    starts m*increment days after the input (shortened head).
+    starts m*increment days after the input (shortened head), which must
+    be whole days.
     """
     inc = _lag_samples(x, increment_days, "increment_days")
     win = _lag_samples(x, window_days, "window_days")
@@ -150,12 +161,13 @@ def rolling_volatility(x: Series, increment_days: int,
     if n <= m * inc:
         raise ValueError(f"series too short: need more than {m * inc} "
                          "samples")
+    start = _shifted_start(x, m * inc * x.step,
+                           "increment_days and window_days")
     diffs = x.values[inc:] - x.values[:-inc]          # diffs[t-inc] = x_t - x_(t-inc)
     anchors = np.arange(m * inc, n)
     cols = anchors[:, None] - inc * np.arange(m)[None, :] - inc
     vols = np.std(diffs[cols], axis=1, ddof=1)
-    return Series(vols, start_index=x.start_index + m * inc * x.step,
-                  step=x.step)
+    return Series(vols, start_index=start, step=x.step)
 
 
 def fourier_lowpass(x: Series, min_period_days: float) -> Series:

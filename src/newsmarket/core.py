@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,8 @@ class ModelParams:
     fields a given mode does not use default to zero.
 
     Units: w_s, w_h, a2 are 1/business-day; gamma is day-valued (it
-    multiplies a rate); everything else is dimensionless.
+    multiplies a rate); everything else is dimensionless.  A record with
+    a non-finite field or w_s, w_h <= 0 cannot be made.
     """
 
     w_s: float
@@ -90,35 +91,32 @@ class ModelParams:
         """Potential-tilt constant beta2 * h_bar (empirical mode)."""
         return self.beta2 * self.h_bar
 
+    def __post_init__(self):
+        rates = [f"{name} must be positive" for name in ("w_s", "w_h")
+                 if not (getattr(self, name) > 0)]
+        finite = [f"{name} must be finite" for name in _PARAM_FIELDS
+                  if not math.isfinite(getattr(self, name))]
+        if rates or finite:
+            raise ValueError("invalid parameters: "
+                             + "; ".join(rates + self.validate() + finite))
+
     def validate(self) -> list[str]:
-        """Return one message per violated invariant (empty when valid)."""
-        bad = []
-        if not (self.w_s > 0):
-            bad.append("w_s must be positive")
-        if not (self.w_h > 0):
-            bad.append("w_h must be positive")
-        for name in ("beta1", "beta2", "beta3", "beta4"):
-            if getattr(self, name) < 0:
-                bad.append(f"{name} must be non-negative")
-        if self.gamma < 0:
-            bad.append("gamma must be non-negative")
-        if self.delta < 0:
-            bad.append("delta must be non-negative")
-        if self.kappa < 0:
-            bad.append("kappa must be non-negative")
-        if not (self.a1 > 0):
-            bad.append("a1 must be positive")
-        if not (self.a2 > 0):
-            bad.append("a2 must be positive")
+        """One message per violated model range (empty when valid); a
+        record may be made outside them, as phase analysis takes a
+        negative delta."""
+        bad = [f"{name} must be non-negative"
+               for name in ("beta1", "beta2", "beta3", "beta4", "gamma",
+                            "delta", "kappa")
+               if getattr(self, name) < 0]
+        for name in ("a1", "a2"):
+            if not (getattr(self, name) > 0):
+                bad.append(f"{name} must be positive")
         if abs(self.s_star) > 1:
             bad.append("s_star must lie in [-1, 1]")
-        for name in _PARAM_FIELDS:
-            if not math.isfinite(getattr(self, name)):
-                bad.append(f"{name} must be finite")
         return bad
 
     def replace(self, **changes) -> "ModelParams":
-        return replace(self, **changes)
+        return type(self)(**{**vars(self), **changes})
 
 
 def _count(name: str, value, least: int = 1) -> int:
@@ -168,8 +166,8 @@ class Series:
     """Uniformly sampled business-day series.
 
     start_index is the integer day index of the first sample (3.0 passes
-    as 3), step the spacing in days (1.0 for daily series).  values is a
-    1-D float array.
+    as 3), step the finite positive spacing in days (1.0 for daily
+    series).  values is a 1-D float array.
     """
 
     __slots__ = ("start_index", "step", "values")
@@ -183,8 +181,8 @@ class Series:
         if not np.all(np.isfinite(values)):
             i = int(np.flatnonzero(~np.isfinite(values))[0])
             raise ValueError(f"non-finite sample at position {i}")
-        if not (step > 0):
-            raise ValueError("step must be positive")
+        if not 0 < step < math.inf:
+            raise ValueError(f"step must be positive and finite, got {step!r}")
         if not float(start_index).is_integer():
             raise ValueError(f"start_index {start_index!r} is not an integer")
         self.values = values
@@ -427,6 +425,8 @@ def read_series(path, column=None) -> Series:
             raise ValueError(f"{path}: line {lineno}: malformed row") from None
         if not math.isfinite(val):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
+        if not values:
+            first = lineno
         indices.append(idx)
         values.append(val)
     if not values:
@@ -435,7 +435,10 @@ def read_series(path, column=None) -> Series:
     if not (step > 0 and np.allclose(np.diff(indices), step, rtol=0,
                                      atol=1e-9)):
         raise ValueError(f"{path}: indices are not uniformly increasing")
-    return Series(values, start_index=indices[0], step=step)
+    try:
+        return Series(values, start_index=indices[0], step=step)
+    except ValueError as e:
+        raise ValueError(f"{path}: line {first}: {e}") from None
 
 
 def write_series(path, series: Series, label: str = "value",

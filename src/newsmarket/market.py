@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -257,22 +256,27 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
     runs on rng.substream(i).
 
     Returns (mean sentiment Series, list of SimulationRun).  Worker count
-    comes from the NEWSMARKET_WORKERS environment variable (an integer)
-    unless passed explicitly; results are identical for any worker count.
+    (an integer >= 1) comes from the NEWSMARKET_WORKERS environment
+    variable unless passed explicitly; results are identical for any
+    worker count.
     """
     n_realizations = _count("n_realizations", n_realizations)
+    name = "workers"
     if workers is None:
-        env = os.environ.get(_WORKERS_ENV, "1")
+        name, env = _WORKERS_ENV, os.environ.get(_WORKERS_ENV, "1")
         try:
             workers = int(env)
         except ValueError:
             raise ValueError(f"{_WORKERS_ENV} must be an integer, "
                              f"got {env!r}") from None
+    workers = _count(name, workers)
     run = partial(simulate, params, init, horizon, substeps,
                   theta_profile=theta_profile, mode=mode,
                   beta1_shift=beta1_shift)
     streams = [rng.substream(i) for i in range(n_realizations)]
     if workers > 1 and n_realizations > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(run, streams))
     else:

@@ -153,11 +153,8 @@ def find_equilibria(params: ModelParams) -> list:
     h* = tanh(delta) for every point; the s* values are the roots of the
     self-consistency relation with tilt c = beta2*tanh(delta), found by
     equilibria_1d (analytic brackets, core._brentq).  Points come back
-    sorted by s*.  The fields read must be finite; delta may be negative.
+    sorted by s*.  params need not pass validate: delta may be negative.
     """
-    for name in ("w_s", "w_h", "beta1", "beta2", "gamma", "delta"):
-        if not math.isfinite(getattr(params, name)):
-            raise ValueError(f"invalid parameters: {name} must be finite")
     h_star = math.tanh(params.delta)
     c = params.beta2 * h_star
     roots = equilibria_1d(params.beta1, c)

@@ -41,6 +41,11 @@ def test_log_returns_errors():
         log_returns(coarse, 3)
     r = log_returns(coarse, 4)
     assert len(r) == 48 and r.start_index == 4
+    # a half-day shift is named by the argument, not by the output's start
+    half = Series(np.arange(40.0), step=0.5)
+    with pytest.raises(ValueError, match="^horizon_days must move the "
+                       "output start by whole days, not 1.5$"):
+        log_returns(half, 1.5)
 
 
 def test_distribution_stats_two_point():
@@ -229,6 +234,13 @@ def test_rolling_volatility_errors():
         rolling_volatility(x, 2, 3)
     with pytest.raises(ValueError, match="too short"):
         rolling_volatility(Series(np.arange(10.0)), 5, 10)
+    # the rule is on the shift m * increment, not on whole-day spans
+    half = Series(np.arange(40.0), step=0.5)
+    with pytest.raises(ValueError, match="^increment_days and window_days "
+                       "must move the output start by whole days, not 4.5$"):
+        rolling_volatility(half, 1.5, 4.5)
+    assert rolling_volatility(half, 1, 4.5).start_index == 4
+    assert rolling_volatility(half, 1.5, 6).start_index == 6
 
 
 def test_fourier_lowpass_keeps_slow_removes_fast():

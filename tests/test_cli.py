@@ -131,7 +131,8 @@ def test_module_entry_point():
 
 def test_cli_runs_without_scipy(params_file, tmp_path):
     # Only simulate-theory (ndtri) and glauber meanfield (solve_ivp) may
-    # load scipy, and only when they run.
+    # load scipy, and only when they run; the process pool's modules load
+    # only when an ensemble starts one.
     returns = tmp_path / "returns.csv"
     write_series(returns, Series(np.sin(np.arange(100.0))))
     code = f"""
@@ -141,7 +142,8 @@ assert cli.main(["analyze", "equilibria", "--params", {str(params_file)!r},
                  "--out", {str(tmp_path / "eq.csv")!r}]) == 0
 assert cli.main(["stats", "moments", "--input", {str(returns)!r},
                  "--out", {str(tmp_path / "m.txt")!r}]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m in sys.modules if m.split(".")[0] in
+             ("scipy", "multiprocessing", "concurrent")))
 """
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True)
@@ -231,16 +233,18 @@ def test_simulate_theory_worker_env_parity(params_file, tmp_path,
             (tmp_path / "par" / name).read_bytes()
 
 
-@pytest.mark.parametrize("workers", ["abc", "2.5"])
+@pytest.mark.parametrize("workers", ["abc", "2.5", "0", "-1"])
 def test_simulate_theory_names_a_malformed_worker_env(params_file, tmp_path,
                                                       monkeypatch, capsys,
                                                       workers):
+    # 0 and -1 used to run serially without a word
     monkeypatch.setenv("NEWSMARKET_WORKERS", workers)
     code = main(["simulate-theory", "--params", str(params_file),
                  "--horizon", "10", "--out", str(tmp_path / "runs")])
     assert code == 1
-    assert (f"NEWSMARKET_WORKERS must be an integer, got {workers!r}"
-            in capsys.readouterr().err)
+    want = ("must be >= 1" if workers in ("0", "-1")
+            else f"must be an integer, got {workers!r}")
+    assert f"NEWSMARKET_WORKERS {want}" in capsys.readouterr().err
 
 
 def test_simulate_theory_theta_profile(params_file, tmp_path):

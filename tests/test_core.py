@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from newsmarket import cli
+from newsmarket import cli, core
 from newsmarket.analytics import autocorrelation, mssa_leading
 from newsmarket.core import (
     MarketState,
@@ -44,19 +44,47 @@ def test_validate_accepts_reference_params():
 
 
 def test_validate_reports_every_violation():
-    p = ModelParams(w_s=-1.0, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.0,
+    # a non-positive rate is rejected when the record is made, and the
+    # error names the model ranges too
+    with pytest.raises(ValueError) as err:
+        ModelParams(w_s=-1.0, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.0,
                     a2=0.002, delta=-0.1, s_star=2.0)
-    msgs = p.validate()
-    joined = " ".join(msgs)
     for needle in ("w_s", "a1", "delta", "s_star"):
+        assert needle in str(err.value)
+    p = ModelParams(w_s=0.04, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.0,
+                    a2=0.002, delta=-0.1, s_star=2.0)
+    joined = " ".join(p.validate())
+    for needle in ("a1", "delta", "s_star"):
         assert needle in joined
-    with pytest.raises(ValueError, match="w_s"):
+    with pytest.raises(ValueError, match="a1"):
         validate(p)
 
 
 def test_validate_rejects_non_finite():
-    p = ModelParams(**{**GOOD, "gamma": math.nan})
-    assert any("finite" in m for m in p.validate())
+    with pytest.raises(ValueError, match="finite"):
+        ModelParams(**{**GOOD, "gamma": math.nan})
+
+
+@pytest.mark.parametrize("name, value, rule", [
+    *[(name, value, "finite") for name in core._PARAM_FIELDS
+      for value in (math.nan, math.inf)],
+    *[(name, value, "positive") for name in ("w_s", "w_h")
+      for value in (0.0, -1.0)],
+])
+def test_params_with_an_unusable_field_cannot_be_made(name, value, rule):
+    with pytest.raises(ValueError,
+                       match=f"^invalid parameters: .*{name} must be {rule}"):
+        ModelParams(**GOOD).replace(**{name: value})
+
+
+def test_construction_error_keeps_the_validate_order():
+    # rates, then the model ranges, then finiteness, as load_params wrote
+    # them before construction checked anything
+    with pytest.raises(ValueError) as err:
+        ModelParams(**{**GOOD, "w_s": math.nan, "a1": 0.0, "kappa": -2.0})
+    assert str(err.value) == (
+        "invalid parameters: w_s must be positive; kappa must be "
+        "non-negative; a1 must be positive; w_s must be finite")
 
 
 def test_derived_properties():
@@ -93,8 +121,11 @@ def test_series_basics():
         Series([])
     with pytest.raises(ValueError, match="non-finite sample at position 1"):
         Series([0.0, math.nan])
-    with pytest.raises(ValueError, match="step"):
-        Series([1.0], step=0.0)
+    # an infinite step made times() return [nan, inf, ...]
+    for step in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="step must be positive and "
+                           "finite"):
+            Series([1.0, 2.0], step=step)
 
 
 _QUIET = ModelParams(**{**GOOD, "kappa": 0.0})
@@ -397,7 +428,8 @@ def test_series_takes_an_integral_float_start():
 def test_read_series_rejects_a_non_integral_first_index(tmp_path, text):
     f = tmp_path / "s.csv"
     f.write_text(text)
-    with pytest.raises(ValueError, match="start_index"):
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(f))}: line 2: start_index"):
         read_series(f)
 
 

@@ -390,6 +390,18 @@ def test_ensemble_workers_env(monkeypatch):
     assert np.array_equal(env_mean.values, one_mean.values)
 
 
+@pytest.mark.parametrize("workers, match", [
+    (2.5, "workers must be an integer, got 2.5"),
+    (0, "workers must be >= 1"),
+    (-3, "workers must be >= 1"),
+])
+def test_ensemble_rejects_a_bad_worker_count(workers, match):
+    # 2.5 died inside concurrent.futures; 0 and -3 ran serially
+    with pytest.raises(ValueError, match=match):
+        ensemble(MAIN, MarketState(0.5, 0.0), 10, 2, RandomSource(0),
+                 workers=workers)
+
+
 def test_ensemble_rejects_zero_realizations():
     with pytest.raises(ValueError, match="n_realizations"):
         ensemble(MAIN, MarketState(0.0, 0.0), 10, 0, RandomSource(0))

@@ -157,6 +157,16 @@ def test_gamma_thresholds_saddle_branch_error():
         gamma_thresholds(mid.s_star_pt, MAIN)
 
 
+def test_gamma_thresholds_undefined_without_news_coupling():
+    # beta2 = 0 keeps the s_plus branch off the saddle but removes the
+    # feedback that gamma scales
+    pars = MAIN.replace(beta2=0.0)
+    sp = max(find_equilibria(pars), key=lambda q: q.s_star_pt)
+    assert sp.branch == "s_plus"
+    with pytest.raises(ValueError, match="thresholds undefined"):
+        gamma_thresholds(sp.s_star_pt, pars)
+
+
 def test_oscillator_reduction_force_is_potential_gradient():
     eps = 1e-6
     for s in (-0.5, -0.1, 0.0, 0.2, 0.6):
@@ -269,9 +279,9 @@ PARAM_FIELDS = ("w_s", "w_h", "beta1", "beta2", "beta3", "beta4", "gamma",
 @settings(max_examples=80, deadline=None)
 def test_autonomous_integrators_reject_non_finite_params(name, value, cycle):
     # before validation a NaN gamma ran all of max_days on NaN states and
-    # reported exists=False
-    params = MAIN.replace(**{name: value})
+    # reported exists=False; now such a record cannot be made
     with pytest.raises(ValueError, match=name):
+        params = MAIN.replace(**{name: value})
         if cycle:
             detect_limit_cycle(params, MarketState(0.9, 0.0), 2000)
         else:

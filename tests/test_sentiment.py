@@ -81,15 +81,17 @@ def test_integrate_input_errors():
 
 
 @pytest.mark.parametrize("s0, params, error, match", [
-    (0.5, PARAMS.replace(w_s=math.nan), ValueError, "w_s must be finite"),
-    (math.nan, PARAMS, ValueError, r"s0 must lie in \[-1, 1\]"),
+    # params holds the field changes to PARAMS, made inside the check
+    # because a NaN rate cannot be made at all
+    (0.5, dict(w_s=math.nan), ValueError, "w_s must be finite"),
+    (math.nan, dict(), ValueError, r"s0 must lie in \[-1, 1\]"),
     # the step overflows to a NaN state, which the bound check must catch
-    (0.5, PARAMS.replace(w_s=1e300), RuntimeError, "integrator failure"),
+    (0.5, dict(w_s=1e300), RuntimeError, "integrator failure"),
 ])
 def test_integrate_names_nan_inputs_and_states(s0, params, error, match):
     # each used to surface as "non-finite sample at position ..."
     with pytest.raises(error, match=match):
-        integrate_sentiment(Series(np.zeros(5)), s0, params)
+        integrate_sentiment(Series(np.zeros(5)), s0, PARAMS.replace(**params))
 
 
 def test_unstable_step_raises_rather_than_clipping():
