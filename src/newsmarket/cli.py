@@ -20,8 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, market, phase, sentiment
-from .core import (MarketState, ModelParams, RandomSource, _PARAM_FIELDS,
-                   _count, _fields_line, _fmt, _load_record, _write_report,
+from .core import (MarketState, RandomSource, _PARAM_FIELDS, _count,
+                   _fields_line, _fmt, _load_record, _write_report,
                    _write_table, load_params, read_series, write_series)
 from .glauber import (SpinMacroState, SpinSystemConfig, _runs,
                       meanfield_compare)
@@ -40,7 +40,7 @@ def _header(command: str, *extra: str) -> list:
 # subcommands
 
 
-def cmd_simulate_empirical(args) -> int:
+def cmd_simulate_empirical(args) -> None:
     params = load_params(args.params)
     h_series = read_series(args.input)
     s0 = (args.init_s if args.init_s is not None
@@ -56,24 +56,19 @@ def cmd_simulate_empirical(args) -> int:
     _write_table(args.out, head, ("date_index", "H", "s", "p"),
                  zip(s.times().astype(int), h_series.values, s.values,
                      p.values))
-    return 0
 
 
-def _default_theory_init(params: ModelParams) -> MarketState:
-    pick = phase.find_equilibria(params)[-1]
-    return MarketState(s=pick.s_star_pt, h=pick.h_star_pt)
-
-
-def cmd_simulate_theory(args) -> int:
+def cmd_simulate_theory(args) -> None:
     params = load_params(args.params)
     theta = read_series(args.theta) if args.theta else None
-    if args.init_s is not None or args.init_h is not None:
-        init = MarketState(
-            s=args.init_s if args.init_s is not None else 0.0,
-            h=(args.init_h if args.init_h is not None
-               else math.tanh(params.delta)))
+    h0 = args.init_h if args.init_h is not None else math.tanh(params.delta)
+    if args.init_s is not None:
+        s0 = args.init_s
+    elif args.init_h is not None:
+        s0 = 0.0
     else:
-        init = _default_theory_init(params)
+        s0 = initial_sentiment(params.beta1, params.beta2, h0)
+    init = MarketState(s=s0, h=h0)
     rng = RandomSource(args.seed)
     mean, runs = market.ensemble(
         params, init, args.horizon, args.realizations, rng,
@@ -105,10 +100,9 @@ def cmd_simulate_theory(args) -> int:
         ("init_s", init.s),
         ("init_h", init.h),
     ] + [(k, getattr(params, k)) for k in _PARAM_FIELDS])
-    return 0
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> None:
     params = load_params(args.params)
     head = _header(f"analyze {args.task}",
                    _fields_line("params", params, _PARAM_FIELDS))
@@ -121,9 +115,7 @@ def cmd_analyze(args) -> int:
              p.eigenvalues[0].real, p.eigenvalues[0].imag,
              p.eigenvalues[1].real, p.eigenvalues[1].imag)
             for p in phase.find_equilibria(params)])
-        return 0
-
-    if args.task == "thresholds":
+    elif args.task == "thresholds":
         rows = []
         for pt in phase.find_equilibria(params):
             if params.beta1 * (1.0 - pt.s_star_pt ** 2) >= 1.0:
@@ -136,9 +128,7 @@ def cmd_analyze(args) -> int:
                      head + ["gamma units: multiply by w_s for gamma_bar"],
                      ("branch", "s_star", "gamma_node_focus",
                       "gamma_focus_unstable", "gamma_unstable_node"), rows)
-        return 0
-
-    if args.task == "sweep":
+    elif args.task == "sweep":
         lo, _, hi = args.range.partition(":")
         try:
             value_range = float(lo), float(hi)
@@ -153,9 +143,7 @@ def cmd_analyze(args) -> int:
         _write_table(args.out, head + extra, (args.sweep, "branch", "class"),
                      [(v, br, classes[br]) for v, classes in rows
                       for br in sorted(classes)])
-        return 0
-
-    if args.task == "limit-cycle":
+    elif args.task == "limit-cycle":
         init = MarketState(s=args.init_s, h=args.init_h)
         rep = phase.detect_limit_cycle(params, init, args.max_days,
                                        substeps=args.substeps,
@@ -172,38 +160,31 @@ def cmd_analyze(args) -> int:
             ("convergence_iterations", rep.convergence_iterations),
             ("stable", rep.stable),
         ])
-        return 0
-
-    if args.task == "heatmap":
-        grid = np.linspace(-1.0, 1.0, args.grid)
+    elif args.task == "heatmap":
+        grid = np.linspace(-1.0, 1.0, _count("grid", args.grid))
         values = market.noise_dominance_map(params, grid, grid)
         _write_table(args.out, head + [f"grid: {args.grid}x{args.grid}"],
                      ("s", "h", "feedback_to_noise"),
                      zip(np.repeat(grid, args.grid), np.tile(grid, args.grid),
                          values.ravel()))
-        return 0
-
-    if args.task == "potential":
+    elif args.task == "potential":
         curve = sentiment.potential_uc(params, params.c,
                                        grid_size=args.grid)
         extra = [f"extremum: s={_fmt(s)} kind={kind}"
                  for s, kind in curve.extrema]
         _write_table(args.out, head + extra, ("s", "potential"),
                      zip(curve.s_grid, curve.u_values))
-        return 0
 
 
-def cmd_glauber(args) -> int:
+def cmd_glauber(args) -> None:
     config = _load_record(args.params, SpinSystemConfig, ints=("N_s", "N_h"))
     head = _header(f"glauber {args.task}",
                    _fields_line("config", config, _SPIN_FIELDS),
                    f"seed: {args.seed}")
     rng = RandomSource(args.seed)
-    init = None
-    if args.init_S is not None or args.init_H is not None:
-        init = SpinMacroState(
-            S=args.init_S if args.init_S is not None else config.N_s,
-            H=args.init_H if args.init_H is not None else config.N_h)
+    init = SpinMacroState(
+        S=config.N_s if args.init_S is None else args.init_S,
+        H=config.N_h if args.init_H is None else args.init_H)
 
     if args.task == "trajectory":
         n = _count("realizations", args.realizations)
@@ -218,9 +199,7 @@ def cmd_glauber(args) -> int:
                            (out / f"run_{i:03d}.csv", [f"realization: {i}"]))
             _write_table(path, head + extra + [f"events: {traj.n_events}"],
                          ("t", "s", "h"), zip(traj.times, traj.s, traj.h))
-        return 0
-
-    if args.task == "meanfield":
+    elif args.task == "meanfield":
         report = meanfield_compare(config, args.horizon, args.realizations,
                                    rng, init,
                                    1.0 if args.sample_step is None
@@ -236,10 +215,9 @@ def cmd_glauber(args) -> int:
             ("max_deviation", report.max_deviation),
             ("rms_deviation", report.rms_deviation),
         ])
-        return 0
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> None:
     x = read_series(args.input, column=args.column)
     head = _header(f"stats {args.task}", f"input: {Path(args.input).name}",
                    f"column: {args.column if args.column else 'first'}")
@@ -248,9 +226,7 @@ def cmd_stats(args) -> int:
         r = analytics.log_returns(x, args.horizon)
         write_series(args.out, r, label="log_return",
                      header=head + [f"horizon_days: {args.horizon}"])
-        return 0
-
-    if args.task == "moments":
+    elif args.task == "moments":
         mean, var, skew, kurt = analytics.distribution_stats(
             x, normalize=args.normalize)
         _write_report(args.out,
@@ -261,9 +237,7 @@ def cmd_stats(args) -> int:
                           ("skewness", skew),
                           ("excess_kurtosis", kurt),
                       ])
-        return 0
-
-    if args.task == "histogram":
+    elif args.task == "histogram":
         vals = x.values
         if not args.raw:
             std = np.std(vals)
@@ -277,28 +251,21 @@ def cmd_stats(args) -> int:
             f"samples: {len(x)}",
         ], ("bin_left", "bin_right", "density"),
             zip(edges[:-1], edges[1:], density))
-        return 0
-
-    if args.task == "acf":
+    elif args.task == "acf":
         _write_table(args.out, head + [f"samples: {len(x)}"],
                      ("lag", "acf", "band"),
                      analytics.autocorrelation(x, args.max_lag))
-        return 0
-
-    if args.task == "volatility":
+    elif args.task == "volatility":
         v = analytics.rolling_volatility(x, args.increment, args.window)
         write_series(args.out, v, label="volatility", header=head + [
             f"increment_days: {args.increment}",
             f"window_days: {args.window}",
         ])
-        return 0
-
-    if args.task == "lowpass":
+    elif args.task == "lowpass":
         f = analytics.fourier_lowpass(x, args.min_period)
         write_series(args.out, f, label="filtered", header=head + [
             f"min_period_days: {_fmt(args.min_period)}",
         ])
-        return 0
 
 
 # ---------------------------------------------------------------------------
@@ -417,10 +384,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -42,6 +42,7 @@ substream).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -293,6 +294,9 @@ def _runs(config, horizon, rngs, init, sample_step):
         raise ValueError("horizon must be positive and finite")
     if sample_step is not None and not sample_step > 0:
         raise ValueError("sample_step must be positive")
+    if sample_step is not None and not horizon / sample_step < sys.maxsize:
+        raise ValueError(f"sample_step {sample_step!r} is too small: "
+                         f"horizon / sample_step must be below {sys.maxsize}")
     if init is None:
         init = SpinMacroState(S=config.N_s, H=config.N_h)
     _check_state(init, config)

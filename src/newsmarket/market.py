@@ -194,9 +194,9 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     One noise draw per day, zero-order held over the day's `substeps`
     Runge-Kutta steps.  Day 0 is the initial state; p is accumulated from
     the daily sentiment path with the same trapezoidal rule as the pricing
-    module.  theta_profile (length >= horizon) overrides beta1 daily as
-    1/theta(day); beta2 is never rescaled.  beta1_shift is added to
-    whatever beta1 is in force (a documented variant of the
+    module.  theta_profile (step 1, length >= horizon) overrides beta1
+    daily as 1/theta(day); beta2 is never rescaled.  beta1_shift is added
+    to whatever beta1 is in force (a documented variant of the
     temperature-modulated runs).  horizon_days and substeps must be
     integers >= 1 (numpy integers included), the used part of
     theta_profile positive and not subnormal, and the daily beta1 finite
@@ -207,6 +207,9 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
         raise ValueError(f"unknown mode {mode!r}")
     horizon_days = _count("horizon_days", horizon_days)
     substeps = _count("substeps", substeps)
+    if theta_profile is not None and theta_profile.step != 1.0:
+        raise ValueError("theta_profile must be sampled daily (step = 1), "
+                         f"got step {theta_profile.step}")
     if theta_profile is not None and len(theta_profile) < horizon_days:
         raise ValueError(f"theta_profile has {len(theta_profile)} days, "
                          f"fewer than horizon_days = {horizon_days}")

@@ -214,10 +214,8 @@ def test_simulate_theory_default_init_is_equilibrium(params_file, tmp_path):
     manifest = read_report(out / "manifest.txt")
     params = load_params(params_file)
     top = max(phase.find_equilibria(params), key=lambda q: q.s_star_pt)
-    assert float(manifest["init_s"]) == pytest.approx(top.s_star_pt,
-                                                      abs=1e-12)
-    assert float(manifest["init_h"]) == pytest.approx(top.h_star_pt,
-                                                      abs=1e-12)
+    assert float(manifest["init_s"]) == top.s_star_pt
+    assert float(manifest["init_h"]) == top.h_star_pt
 
 
 def test_simulate_theory_worker_env_parity(params_file, tmp_path,
@@ -352,6 +350,17 @@ def test_analyze_heatmap(params_file, tmp_path):
     assert np.array_equal(got.reshape(5, 5), want)
 
 
+@pytest.mark.parametrize("grid", ["0", "-2"])
+def test_analyze_heatmap_rejects_an_empty_grid(params_file, tmp_path, capsys,
+                                               grid):
+    # 0 wrote a table with no rows; -2 failed in numpy without the flag
+    out = tmp_path / "map.csv"
+    code = main(["analyze", "heatmap", "--params", str(params_file),
+                 "--grid", grid, "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "grid must be >= 1" in capsys.readouterr().err
+
+
 def test_analyze_potential(params_file, tmp_path):
     out = tmp_path / "pot.csv"
     assert main(["analyze", "potential", "--params", str(params_file),
@@ -459,6 +468,20 @@ def test_glauber_meanfield_rejects_zero_sample_step(spin_file, tmp_path,
                  "--out", str(tmp_path / "mf.txt")])
     assert code == 1
     assert "sample_step must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task", ["trajectory", "meanfield"])
+@pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+def test_glauber_rejects_a_sample_step_too_small_for_its_grid(
+        spin_file, tmp_path, capsys, task, step):
+    # horizon / step is inf or far above any array length: the first
+    # escaped as OverflowError, the second as a numpy size error
+    code = main(["glauber", task, "--params", str(spin_file),
+                 "--horizon", "10", "--sample-step", step,
+                 "--out", str(tmp_path / "o.csv")])
+    assert code == 1
+    assert (f"sample_step {float(step)!r} is too small"
+            in capsys.readouterr().err)
 
 
 def make_price_file(tmp_path):
@@ -586,7 +609,10 @@ def test_analyze_thresholds_without_a_stable_branch(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     MAIN_TEXT.replace("beta1 = 1.1", "beta1 = 0.9"),
     MAIN_TEXT.replace("delta = 0.03", "delta = 0.5"),
-], ids=["paramagnetic", "past-the-fold"])
+    # the lone root s* = 0 has zero slope: initial_sentiment's fallback
+    MAIN_TEXT.replace("beta1 = 1.1", "beta1 = 1.0")
+    .replace("delta = 0.03", "delta = 0.0"),
+], ids=["paramagnetic", "past-the-fold", "critical"])
 def test_default_theory_start_with_one_root(tmp_path, text):
     # test_simulate_theory_default_init_is_equilibrium covers three roots
     f = tmp_path / "p.txt"

@@ -7,6 +7,9 @@ the full-mode drift is ds/dt = -w_s*s + w_s*tanh(beta1*s + beta2*h) and
 dh/dt = -w_h*h + w_h*tanh(beta3*s + beta4*h), which is
 glauber._meanfield_rhs written with beta = 1/theta factored out.  The two
 differ only in where the division by theta is rounded.
+
+The last test holds the daily RK4 integrator to an adaptive solver on
+one held noise path, at the protocol of acceptance criterion 9.
 """
 
 import numpy as np
@@ -15,9 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from newsmarket.core import MarketState, ModelParams, RandomSource
+from newsmarket import analytics, phase
+from newsmarket.core import MarketState, ModelParams, RandomSource, Series
 from newsmarket.glauber import SpinSystemConfig, _meanfield_rhs, _runs
-from newsmarket.market import FULL, drift, simulate
+from newsmarket.market import FULL, SIMPLIFIED, _make_drift, drift, simulate
+from newsmarket.pricing import price_from_sentiment
 
 
 def market_twin(config: SpinSystemConfig) -> ModelParams:
@@ -111,3 +116,42 @@ def test_glauber_ensemble_tracks_the_full_mode_path():
     # both start all-up and relax: h falls by more than half
     assert mean_s[0] == mean_h[0] == 1.0
     assert np.ptp(path.h.values) > 0.5
+
+
+def monthly_shape(p):
+    """Skewness and excess kurtosis of non-overlapping 21-day returns, as
+    criterion 9 takes them."""
+    monthly = Series(analytics.log_returns(p, 21).values[::21])
+    return analytics.distribution_stats(monthly)[2:]
+
+
+def test_rk4_path_tracks_rk45_on_the_same_noise(capsys):
+    # criterion 9's protocol: upper equilibrium, one draw per day held over
+    # the day's 8 substeps; seeds 0-4 gave gaps of 1.2e-7 (s), 7.6e-8 (h)
+    # and 1e-7 (moments) at most
+    days = 2000
+    params = ModelParams(w_s=0.04, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.374,
+                         a2=0.002, a4=6.5, s_star=0.131, delta=0.03,
+                         kappa=1.0, gamma=56.0)
+    top = phase.find_equilibria(params.replace(kappa=0.0))[-1]
+    run = simulate(params, MarketState(top.s_star_pt, top.h_star_pt), days,
+                   8, rng=RandomSource(0))
+    s, h = np.empty(days), np.empty(days)
+    s[0], h[0] = run.s.values[0], run.h.values[0]
+    for d, xi in enumerate(run.xi):
+        f = _make_drift(params, params.beta1, xi, SIMPLIFIED)
+        sol = solve_ivp(lambda t, y: f(*y), (0.0, 1.0), [s[d], h[d]],
+                        rtol=1e-10, atol=1e-12)
+        assert sol.success
+        s[d + 1], h[d + 1] = sol.y[:, -1]
+    gap_s = np.max(np.abs(run.s.values - s))
+    gap_h = np.max(np.abs(run.h.values - h))
+    shape = monthly_shape(run.p)
+    adaptive = monthly_shape(price_from_sentiment(Series(s), params))
+    gap_skew, gap_kurt = (abs(a - b) for a, b in zip(shape, adaptive))
+    with capsys.disabled():
+        print(f"RK4 vs RK45 on one noise path: |ds| {gap_s:.2e}, |dh| "
+              f"{gap_h:.2e}, skewness {gap_skew:.2e}, excess kurtosis "
+              f"{gap_kurt:.2e}")
+    assert gap_s < 1e-6 and gap_h < 1e-6
+    assert gap_skew < 1e-6 and gap_kurt < 1e-6

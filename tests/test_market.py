@@ -140,6 +140,12 @@ def test_simulate_errors():
     with pytest.raises(ValueError, match="theta_profile"):
         simulate(QUIET, MarketState(0.0, 0.0), 10,
                  theta_profile=Series(np.ones(5)))
+    # a non-daily profile would drive day k with sample k
+    with pytest.raises(ValueError, match="theta_profile must be sampled "
+                       r"daily \(step = 1\), got step 2.0"):
+        simulate(MAIN, MarketState(0.5, 0.03), 10, rng=RandomSource(1),
+                 theta_profile=Series(np.full(50, 1 / 1.1), start_index=7,
+                                      step=2.0))
     with pytest.raises(ValueError, match="mode"):
         simulate(QUIET, MarketState(0.0, 0.0), 10, mode="bogus")
     with pytest.raises(ValueError, match="invalid parameters"):
