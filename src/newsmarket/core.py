@@ -207,9 +207,11 @@ class RandomSource:
     Identical (seed, stream_id) produce bitwise-identical draw sequences
     across runs and thread schedules: the underlying bit generator is
     PCG64 keyed by SeedSequence(entropy=seed, spawn_key=(stream_id,)),
-    and Gaussian draws use the inverse-CDF transform (scipy ndtri) of the
-    generator's uniforms rather than a rejection method, so the mapping
-    from bit stream to normal deviates is a fixed pure function.
+    and Gaussian draws use the inverse-CDF transform of the generator's
+    uniforms rather than a rejection method, so the mapping from bit
+    stream to normal deviates is a fixed pure function.  The transform is
+    _ndtri, a port of Cephes ndtri (Moshier 1989) whose draws equal
+    scipy.special.ndtri's bit for bit.
     """
 
     __slots__ = ("seed", "stream_id", "_gen")
@@ -232,15 +234,12 @@ class RandomSource:
 
     def standard_normal(self, size=None):
         """Standard normal via inverse CDF of the uniform stream."""
-        from scipy.special import ndtri
-
         u = self._gen.random(size)
         # Guard the measure-zero u == 0 (ndtri(0) = -inf).
         tiny = np.finfo(float).tiny
         if size is None:
-            return float(ndtri(u if u > 0.0 else tiny))
-        u = np.where(u > 0.0, u, tiny)
-        return ndtri(u)
+            return _ndtri1(u if u > 0.0 else tiny)
+        return _ndtri(np.where(u > 0.0, u, tiny))
 
     def exponential(self, size=None):
         """Unit-mean exponential draws, -log(1 - U) with U in [0, 1)."""
@@ -311,6 +310,107 @@ def _brentq(f, a, b, args=()):
         fcur = fx(xcur)
     raise RuntimeError(f"failed to converge after {_ROOT_MAXITER} "
                        f"iterations, value is {xcur}")
+
+
+# Cephes ndtri (Moshier 1989), the inverse normal CDF that scipy.special
+# ndtri evaluates: a rational function of (y - 1/2)**2 for exp(-2) < y <=
+# 1 - exp(-2), else of 1/x with x = sqrt(-2 log y) (of 1 - y in the upper
+# tail), with one table pair below x = 8 (y = exp(-32)) and one above.
+# Each denominator's leading 1 is written out, so that _polevl serves as
+# Cephes' p1evl too (1*x + q is x + q).
+_NDTRI_EXPM2 = 0.13533528323661269189
+_NDTRI_S2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+             -5.66762857469070293439e1, 1.39312609387279679503e1,
+             -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
+             8.63602421390890590575e1, -2.25462687854119370527e2,
+             2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+             5.71628192246421288162e1, 4.40805073893200834700e1,
+             1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+             -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
+             4.13172038254672030440e1, 1.50425385692907503408e1,
+             2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0,
+             3.93881025292474443415e0, 1.33303460815807542389e0,
+             2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6,
+             6.23974539184983293730e-9)
+_NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
+             1.37702099489081330271e0, 2.16236993594496635890e-1,
+             1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coefs):
+    """coefs[0]*x**n + ... + coefs[n] in Horner's order (Cephes polevl),
+    for a float or elementwise for an array."""
+    a = coefs[0]
+    for c in coefs[1:]:
+        a = a * x + c
+    return a
+
+
+def _ndtri_central(d):
+    """The central branch's result at d = y - 1/2."""
+    d2 = d * d
+    return (d + d * (d2 * _polevl(d2, _NDTRI_P0)
+                     / _polevl(d2, _NDTRI_Q0))) * _NDTRI_S2PI
+
+
+def _ndtri_tail(x, log_x, far):
+    """The tail branch's |result| at x = sqrt(-2 log y), given log(x)."""
+    p, q = (_NDTRI_P2, _NDTRI_Q2) if far else (_NDTRI_P1, _NDTRI_Q1)
+    z = 1.0 / x
+    return x - log_x / x - z * _polevl(z, p) / _polevl(z, q)
+
+
+def _ndtri1(y: float) -> float:
+    """Cephes ndtri(y) for one float y in (0, 1), as scipy computes it."""
+    upper = y > 1.0 - _NDTRI_EXPM2
+    if upper:
+        y = 1.0 - y
+    if y > _NDTRI_EXPM2:
+        return _ndtri_central(y - 0.5)
+    x = math.sqrt(-2.0 * math.log(y))
+    x = _ndtri_tail(x, math.log(x), not x < 8.0)
+    return x if upper else -x
+
+
+def _log(x: np.ndarray) -> np.ndarray:
+    """libm's log of each element (math.log): np.log may round a
+    different way in the last bit."""
+    return np.fromiter(map(math.log, x.tolist()), float, x.size)
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """_ndtri1 of each element of a float array with values in (0, 1).
+
+    numpy operations in _ndtri1's order give its bits, except for the
+    tails' two logs, which are math.log.  As 1 - (1 - exp(-2)) is exp(-2)
+    in floats, every u that _ndtri1 reflects lies in a tail, so the
+    central branch takes u itself; it runs on every element (it is finite
+    on [0, 1], and picking out the central ~73% would cost more), and
+    the tails are then overwritten.
+    """
+    flat = u.ravel()
+    out = _ndtri_central(flat - 0.5)
+    tail = np.flatnonzero((flat <= _NDTRI_EXPM2)
+                          | (flat > 1.0 - _NDTRI_EXPM2))
+    u_t = flat[tail]
+    upper = u_t > 1.0 - _NDTRI_EXPM2
+    x = np.sqrt(-2.0 * _log(np.where(upper, 1.0 - u_t, u_t)))
+    t = _ndtri_tail(x, _log(x), False)
+    far = x >= 8.0
+    if far.any():
+        t[far] = _ndtri_tail(x[far], _log(x[far]), True)
+    out[tail] = np.where(upper, t, -t)
+    return out.reshape(u.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -109,10 +109,11 @@ def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
     physical box.
     """
     lim = 1.0 + _BOUND_SLACK
-    s_out = np.empty(len(beta1) + 1)
-    h_out = np.empty(len(beta1) + 1)
-    s_out[0] = s
-    h_out[0] = h
+    # list appends and one range object: cheaper per day than numpy item
+    # stores and a new range
+    s_out, h_out = [s], [h]
+    add_s, add_h = s_out.append, h_out.append
+    steps = range(substeps)
     days = zip(beta1.tolist(), xi.tolist())
     if mode == SIMPLIFIED:
         w_s, w_h, b2 = params.w_s, params.w_h, params.beta2
@@ -122,7 +123,7 @@ def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
         tanh = math.tanh
         for d, (b1, x) in enumerate(days):
             kxi = kappa * x
-            for _ in range(substeps):
+            for _ in steps:
                 k1s = nw_s * s + w_s * tanh(b1 * s + b2 * h)
                 k1h = nw_h * h + w_h * tanh(gamma * k1s + delta + kxi)
                 y = s + half * k1s
@@ -141,18 +142,18 @@ def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
                 h = h + dt * (k1h + 2.0 * k2h + 2.0 * k3h + k4h) / 6.0
                 if not (abs(s) <= lim and abs(h) <= lim):
                     raise _left_box(d, s, h)
-            s_out[d + 1] = s
-            h_out[d + 1] = h
+            add_s(s)
+            add_h(h)
     else:
         for d, (b1, x) in enumerate(days):
             f = _make_drift(params, b1, x, mode)
-            for _ in range(substeps):
+            for _ in steps:
                 s, h = _rk4_step(f, s, h, dt)
                 if not (abs(s) <= lim and abs(h) <= lim):
                     raise _left_box(d, s, h)
-            s_out[d + 1] = s
-            h_out[d + 1] = h
-    return s_out, h_out
+            add_s(s)
+            add_h(h)
+    return np.array(s_out, dtype=float), np.array(h_out, dtype=float)
 
 
 def drift(state: MarketState, params: ModelParams, mode: str = SIMPLIFIED):
@@ -194,8 +195,8 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     One noise draw per day, zero-order held over the day's `substeps`
     Runge-Kutta steps.  Day 0 is the initial state; p is accumulated from
     the daily sentiment path with the same trapezoidal rule as the pricing
-    module.  theta_profile (step 1, length >= horizon) overrides beta1
-    daily as 1/theta(day); beta2 is never rescaled.  beta1_shift is added
+    module.  theta_profile (step 1, starting on day 0, length >= horizon)
+    overrides beta1 daily as 1/theta(day); beta2 is never rescaled.  beta1_shift is added
     to whatever beta1 is in force (a documented variant of the
     temperature-modulated runs).  horizon_days and substeps must be
     integers >= 1 (numpy integers included), the used part of
@@ -210,6 +211,9 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     if theta_profile is not None and theta_profile.step != 1.0:
         raise ValueError("theta_profile must be sampled daily (step = 1), "
                          f"got step {theta_profile.step}")
+    if theta_profile is not None and theta_profile.start_index != 0:
+        raise ValueError("theta_profile must start on the run's day 0, "
+                         f"got start day {theta_profile.start_index}")
     if theta_profile is not None and len(theta_profile) < horizon_days:
         raise ValueError(f"theta_profile has {len(theta_profile)} days, "
                          f"fewer than horizon_days = {horizon_days}")

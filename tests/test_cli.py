@@ -3,6 +3,7 @@
 import contextlib
 import io
 import math
+import os
 import subprocess
 import sys
 
@@ -129,24 +130,55 @@ def test_module_entry_point():
     assert "newsmarket" in proc.stdout
 
 
-def test_cli_runs_without_scipy(params_file, tmp_path):
-    # Only simulate-theory (ndtri) and glauber meanfield (solve_ivp) may
-    # load scipy, and only when they run; the process pool's modules load
-    # only when an ensemble starts one.
-    returns = tmp_path / "returns.csv"
-    write_series(returns, Series(np.sin(np.arange(100.0))))
+def test_cli_runs_without_scipy(params_file, spin_file, tmp_path):
+    # scipy is a test dependency only: every subcommand and task, and the
+    # Gaussian draws and Gibbs distribution behind them, run in a process
+    # where importing scipy raises; and with one worker no process pool's
+    # modules load
+    theta = tmp_path / "theta.csv"
+    write_series(theta, Series(np.full(80, 1 / 1.1)), label="theta")
+    news = tmp_path / "news.csv"
+    write_series(news, Series(0.3 * np.sin(np.arange(120) / 9.0)), label="H")
+    full = tmp_path / "full.txt"
+    full.write_text(MAIN_TEXT + "beta3 = 0.1\nbeta4 = 0.2\n")
+    run0 = str(tmp_path / "theory" / "run_000.csv")
+
+    def out(name):
+        return str(tmp_path / name)
+
+    calls = [["simulate-theory", "--params", str(full), "--mode", "full",
+              "--theta", str(theta), "--horizon", "80", "--realizations",
+              "2", "--out", out("theory")],
+             ["simulate-empirical", "--input", str(news), "--params",
+              str(params_file), "--out", out("emp.csv")]]
+    calls += [["analyze", task, "--params", str(params_file), "--steps",
+               "5", "--grid", "5", "--max-days", "400", "--out", out(task)]
+              for task in ("equilibria", "thresholds", "sweep",
+                           "limit-cycle", "heatmap", "potential")]
+    calls += [["glauber", task, "--params", str(spin_file), "--horizon",
+               "5", "--realizations", "2", "--sample-step", "1", "--out",
+               out(task)] for task in ("trajectory", "meanfield")]
+    calls += [["stats", task, "--input", run0, "--column", "p", "--horizon",
+               "5", "--max-lag", "5", "--increment", "5", "--window", "20",
+               "--min-period", "20", "--out", out(task)]
+              for task in ("returns", "moments", "histogram", "acf",
+                           "volatility", "lowpass")]
     code = f"""
 import sys
+sys.modules["scipy"] = None
 from newsmarket import cli
-assert cli.main(["analyze", "equilibria", "--params", {str(params_file)!r},
-                 "--out", {str(tmp_path / "eq.csv")!r}]) == 0
-assert cli.main(["stats", "moments", "--input", {str(returns)!r},
-                 "--out", {str(tmp_path / "m.txt")!r}]) == 0
-print(sorted(m for m in sys.modules if m.split(".")[0] in
-             ("scipy", "multiprocessing", "concurrent")))
+from newsmarket.core import RandomSource
+from newsmarket.glauber import SpinSystemConfig, equilibrium_distribution
+for argv in {calls!r}:
+    assert cli.main(argv) == 0, argv
+assert RandomSource(0).standard_normal(8).shape == (8,)
+assert equilibrium_distribution(SpinSystemConfig(N_s=4, N_h=2))[2].size == 15
+print(sorted(m for m, v in sys.modules.items() if v is not None and
+             m.split(".")[0] in ("scipy", "multiprocessing", "concurrent")))
 """
+    env = {k: v for k, v in os.environ.items() if k != "NEWSMARKET_WORKERS"}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True)
+                          text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -258,6 +290,18 @@ def test_simulate_theory_theta_profile(params_file, tmp_path):
                     theta_profile=read_series(prof))
     got = read_series(out / "run_000.csv", column="s")
     assert np.array_equal(got.values, want.s.values)
+
+
+def test_simulate_theory_rejects_a_theta_csv_not_starting_on_day_0(
+        params_file, tmp_path, capsys):
+    prof = tmp_path / "theta.csv"
+    write_series(prof, Series(np.full(50, 1.25), start_index=7),
+                 label="theta")
+    assert main(["simulate-theory", "--params", str(params_file),
+                 "--horizon", "20", "--theta", str(prof),
+                 "--out", str(tmp_path / "runs")]) == 1
+    assert ("theta_profile must start on the run's day 0, got start day 7"
+            in capsys.readouterr().err)
 
 
 def test_analyze_equilibria(params_file, tmp_path):
@@ -471,11 +515,12 @@ def test_glauber_meanfield_rejects_zero_sample_step(spin_file, tmp_path,
 
 
 @pytest.mark.parametrize("task", ["trajectory", "meanfield"])
-@pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+@pytest.mark.parametrize("step", ["5e-324", "1e-300", "2e-18"])
 def test_glauber_rejects_a_sample_step_too_small_for_its_grid(
         spin_file, tmp_path, capsys, task, step):
-    # horizon / step is inf or far above any array length: the first
-    # escaped as OverflowError, the second as a numpy size error
+    # horizon / step is inf, far above any array length, or below
+    # sys.maxsize but more points than numpy can hold; numpy refuses the
+    # last before allocating anything
     code = main(["glauber", task, "--params", str(spin_file),
                  "--horizon", "10", "--sample-step", step,
                  "--out", str(tmp_path / "o.csv")])

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.special import ndtri
 
 from newsmarket import cli, core
 from newsmarket.analytics import autocorrelation, mssa_leading
@@ -16,8 +17,11 @@ from newsmarket.core import (
     ModelParams,
     RandomSource,
     Series,
+    _NDTRI_EXPM2,
     _ROOT_XTOL,
     _brentq,
+    _ndtri,
+    _ndtri1,
     load_params,
     parse_kv_file,
     read_series,
@@ -407,6 +411,64 @@ def test_brentq_raises_like_scipy():
     for solver in (brentq, _brentq):
         with pytest.raises(RuntimeError, match="converge"):
             solver(step, -1e300, 1e300)
+
+
+# ---------------------------------------------------------------------------
+# _ndtri, the port of Cephes ndtri behind RandomSource.standard_normal
+
+
+def assert_same_ndtri(u):
+    """_ndtri gives scipy's ndtri bit for bit, and _ndtri1 the same bits
+    one value at a time."""
+    got = _ndtri(u)
+    assert got.tobytes() == ndtri(u).tobytes()
+    scalar = np.array([_ndtri1(v) for v in u.ravel().tolist()])
+    assert scalar.tobytes() == got.ravel().tobytes()
+
+
+def test_ndtri_matches_scipy_on_uniform_draws():
+    u = np.random.default_rng(15).random(2_000_000)
+    got = _ndtri(u)
+    assert got.tobytes() == ndtri(u).tobytes()
+    # the scalar path on a slice that holds both tails
+    head = u[:20_000]
+    assert (np.array([_ndtri1(v) for v in head.tolist()]).tobytes()
+            == got[:20_000].tobytes())
+
+
+def _ulps_around(x, n):
+    """x and the n floats on either side of it."""
+    lo, hi = [x], [x]
+    for _ in range(n):
+        lo.append(np.nextafter(lo[-1], -np.inf))
+        hi.append(np.nextafter(hi[-1], np.inf))
+    return np.unique(np.array(lo + hi))
+
+
+def test_ndtri_matches_scipy_at_branch_edges_and_extremes():
+    # the array path takes u itself in the central branch because the
+    # reflected edge maps back onto the lower one exactly
+    assert 1.0 - (1.0 - _NDTRI_EXPM2) == _NDTRI_EXPM2
+    tiny = np.finfo(float).tiny
+    edges = np.concatenate([
+        _ulps_around(_NDTRI_EXPM2, 40),            # central / lower tail
+        _ulps_around(1.0 - _NDTRI_EXPM2, 40),      # central / upper tail
+        _ulps_around(math.exp(-32.0), 200),        # x = 8 table switch
+        _ulps_around(1.0 - math.exp(-32.0), 40),   # its upper-tail image
+        [5e-324, tiny, 1e-300, 1e-100, 1 - 1e-16, 0.5],
+        np.geomspace(5e-324, 0.2, 20_000),
+        1.0 - np.geomspace(1e-16, 0.2, 20_000),
+    ])
+    assert np.all((edges > 0.0) & (edges < 1.0))
+    assert_same_ndtri(edges)
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, (3, 5), (2, 0, 4)])
+def test_standard_normal_is_ndtri_of_the_uniform_stream(size):
+    got = RandomSource(4, 2).standard_normal(size)
+    u = RandomSource(4, 2).uniform(size)
+    assert got.shape == u.shape
+    assert got.tobytes() == ndtri(u).tobytes()
 
 
 @pytest.mark.parametrize("start", [2.5, math.nan, math.inf, -math.inf])

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import solve_ivp
+from scipy.special import gammaln, logsumexp
 
 from newsmarket import glauber
 from newsmarket.core import RandomSource
@@ -15,6 +17,7 @@ from newsmarket.glauber import (
     GlauberTrajectory,
     SpinMacroState,
     SpinSystemConfig,
+    _meanfield_rhs,
     equilibrium_distribution,
     meanfield_compare,
     simulate_glauber,
@@ -583,3 +586,143 @@ def test_meanfield_compare_needs_a_sample_grid(n_realizations):
     with pytest.raises(ValueError, match="sample_step"):
         meanfield_compare(cfg, 5.0, n_realizations, RandomSource(0),
                           sample_step=None)
+
+
+# ---------------------------------------------------------------------------
+# the scipy code glauber no longer imports, as the oracle of what replaced
+# it: solve_ivp's RK45 path, and the gammaln/logsumexp Gibbs weights
+
+CRITERION_4 = SpinSystemConfig(N_s=10_000, N_h=1_000, J11=1.1, J12=0.55,
+                               J21=5.5, theta=1.0, w_s=0.04, w_h=0.4)
+
+
+def rk45_pair(config, horizon, y0, times):
+    """(solve_ivp's result, _rk45's (t, y)) on the rate equations."""
+    sol = solve_ivp(_meanfield_rhs, (0.0, horizon), y0, t_eval=times,
+                    args=(config,), rtol=1e-10, atol=1e-12)
+    try:
+        ours = glauber._rk45(lambda t, y: _meanfield_rhs(t, y, config),
+                             (0.0, horizon), y0, times, rtol=1e-10,
+                             atol=1e-12)
+    except RuntimeError as exc:
+        ours = exc
+    return sol, ours
+
+
+def assert_rk45_is_solve_ivp(config, horizon, y0, times):
+    sol, (t, y) = rk45_pair(config, horizon, y0, times)
+    assert sol.success
+    assert t.tobytes() == sol.t.tobytes()
+    assert y.tobytes() == sol.y.tobytes()
+
+
+def test_rk45_is_solve_ivp_on_the_criterion_4_config():
+    assert_rk45_is_solve_ivp(CRITERION_4, 500.0, [1.0, 1.0],
+                             np.arange(501.0))
+    assert_rk45_is_solve_ivp(CRITERION_4, 500.0, [0.3, -0.6],
+                             np.arange(501.0))
+
+
+def test_rk45_is_solve_ivp_on_driven_configs():
+    cfg = SpinSystemConfig(N_s=1000, N_h=2, J11=0.8, mu_s=1.0, theta=1.0,
+                           b_s=lambda t: 0.3 * math.sin(0.5 * t))
+    assert_rk45_is_solve_ivp(cfg, 30.0, [0.0, 0.0], 0.5 * np.arange(61))
+    # the horizon between two grid points, as meanfield_compare passes it
+    assert_rk45_is_solve_ivp(DRIVEN, 40.5, [-0.5, 0.25], 0.7 * np.arange(58))
+
+
+@given(j=st.lists(st.floats(min_value=-3.0, max_value=3.0), min_size=3,
+                  max_size=3),
+       fields=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=4,
+                       max_size=4),
+       theta=st.floats(min_value=0.1, max_value=10.0),
+       rates=st.lists(st.floats(min_value=1e-3, max_value=5.0), min_size=2,
+                      max_size=2),
+       y0=st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=2,
+                   max_size=2),
+       step=st.sampled_from([0.1, 0.5, 1.0, 7.0]),
+       n=st.integers(min_value=1, max_value=300),
+       extra=st.floats(min_value=0.0, max_value=1.0))
+@settings(max_examples=60, deadline=None)
+def test_rk45_is_solve_ivp_on_constant_field_configs(j, fields, theta, rates,
+                                                     y0, step, n, extra):
+    cfg = SpinSystemConfig(N_s=100, N_h=50, J11=j[0], J12=j[1],
+                           J21=2.0 * j[1], J22=j[2], mu_s=fields[0],
+                           mu_h=fields[1], b_s=fields[2], b_h=fields[3],
+                           theta=theta, w_s=rates[0], w_h=rates[1])
+    times = step * np.arange(n + 1)
+    assert_rk45_is_solve_ivp(cfg, float(times[-1]) + extra * step, y0,
+                             times)
+
+
+def test_rk45_fails_like_solve_ivp_when_the_step_collapses():
+    # a NaN field makes every step past t = 1 fail its error test, so the
+    # step shrinks below the spacing of the floats at t
+    cfg = SpinSystemConfig(N_s=100, N_h=10, J11=0.5, mu_s=1.0,
+                           b_s=lambda t: math.nan if t > 1.0 else 0.1)
+    sol, ours = rk45_pair(cfg, 5.0, [1.0, 1.0], np.arange(6.0))
+    assert not sol.success
+    assert isinstance(ours, RuntimeError)
+    assert str(ours) == f"rate-equation integration failed: {sol.message}"
+
+
+def test_meanfield_compare_reaches_a_grid_point_past_the_horizon():
+    # 317 * 0.1 rounds above 31.7: solve_ivp rejected that t_eval as
+    # outside the span, so the comparison failed on scipy's message
+    cfg = SpinSystemConfig(N_s=100, N_h=10, J11=0.5)
+    rep = meanfield_compare(cfg, 31.7, 2, RandomSource(0), sample_step=0.1)
+    assert len(rep.times) == 318 and rep.times[-1] > 31.7
+    sol = solve_ivp(_meanfield_rhs, (0.0, rep.times[-1]), [1.0, 1.0],
+                    t_eval=rep.times, args=(cfg,), rtol=1e-10, atol=1e-12)
+    assert rep.ode_s.tobytes() == sol.y[0].tobytes()
+    assert rep.ode_h.tobytes() == sol.y[1].tobytes()
+
+
+def gibbs_with_scipy(config):
+    """equilibrium_distribution's P as it was computed with scipy's
+    gammaln and logsumexp."""
+    ns, nh = config.N_s, config.N_h
+    S = np.arange(-ns, ns + 1, 2, dtype=float)
+    H = np.arange(-nh, nh + 1, 2, dtype=float)
+    ln_gs = (gammaln(ns + 1) - gammaln((ns + S) / 2 + 1)
+             - gammaln((ns - S) / 2 + 1))
+    ln_gh = (gammaln(nh + 1) - gammaln((nh + H) / 2 + 1)
+             - gammaln((nh - H) / 2 + 1))
+    energy = (-0.5 * config.J11 / ns * S[:, None] ** 2
+              - config.J12 / nh * S[:, None] * H[None, :]
+              - config.mu_s * config.b_s * S[:, None]
+              - 0.5 * config.J22 / nh * H[None, :] ** 2
+              - config.mu_h * config.b_h * H[None, :])
+    ln_p = ln_gs[:, None] + ln_gh[None, :] - energy / config.theta
+    return np.exp(ln_p - logsumexp(ln_p))
+
+
+@pytest.mark.parametrize("config", [
+    DB,
+    SpinSystemConfig(N_s=6, N_h=4, J11=1.2, J12=0.5, J21=0.75, J22=0.3,
+                     mu_s=0.7, mu_h=0.4, theta=1.3, b_s=0.2, b_h=-0.1),
+    SpinSystemConfig(N_s=6, N_h=4),
+    SpinSystemConfig(N_s=6, N_h=4, J11=1.2, J12=0.5, J21=0.75, J22=0.3,
+                     mu_s=0.7, mu_h=0.4, theta=math.inf, b_s=0.2, b_h=-0.1),
+    SpinSystemConfig(N_s=5, N_h=3, J11=-0.7, J12=0.3, J21=0.5, J22=2.0,
+                     mu_s=1.5, mu_h=-0.4, theta=0.3, b_s=-0.6, b_h=0.9),
+], ids=["criterion-3", "warm", "free", "hot", "odd-sizes"])
+def test_equilibrium_distribution_matches_the_scipy_form(config):
+    _, _, P = equilibrium_distribution(config)
+    np.testing.assert_allclose(P, gibbs_with_scipy(config), rtol=1e-14,
+                               atol=0.0)
+    assert P.sum() == pytest.approx(1.0, abs=1e-15)
+
+
+def test_equilibrium_distribution_matches_the_scipy_form_at_large_sizes():
+    # each weight is exp of log-factorials up to lgamma(N + 1); a few
+    # roundings of those, in either form, bound the relative gap
+    cfg = SpinSystemConfig(N_s=200, N_h=100, J11=1.1, J12=0.5, J21=1.0,
+                           J22=0.2, mu_s=0.3, b_s=0.1, theta=1.0)
+    _, _, P = equilibrium_distribution(cfg)
+    want = gibbs_with_scipy(cfg)
+    assert want.min() > 1e-280
+    scale = math.lgamma(cfg.N_s + 1) + math.lgamma(cfg.N_h + 1)
+    np.testing.assert_allclose(P, want, atol=0.0,
+                               rtol=16 * np.finfo(float).eps * scale)
+    assert P.sum() == pytest.approx(1.0, abs=1e-15)

@@ -152,6 +152,17 @@ def test_simulate_errors():
         simulate(QUIET.replace(w_s=-1.0), MarketState(0.0, 0.0), 10)
 
 
+@pytest.mark.parametrize("start", [7, -3])
+def test_simulate_rejects_a_theta_profile_not_starting_on_day_0(start):
+    # a profile starting on another day would drive day 0 with its first
+    # sample
+    th = np.full(50, 1 / 1.1)
+    with pytest.raises(ValueError, match="theta_profile must start on the "
+                       f"run's day 0, got start day {start}"):
+        simulate(MAIN, MarketState(0.5, 0.03), 10, rng=RandomSource(1),
+                 theta_profile=Series(th, start_index=start))
+
+
 @pytest.mark.parametrize("theta", [0.0, -1.0])
 def test_simulate_rejects_nonpositive_theta(theta):
     prof = Series(np.r_[np.ones(5), theta, np.ones(4)])
