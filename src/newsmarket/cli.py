@@ -5,6 +5,12 @@ version, the command, the parameters, and the seed, so a file is enough
 to rerun the computation that produced it.  Identical invocations give
 byte-identical files; nothing time- or host-dependent is written.
 
+Each subcommand imports the modules it runs when it runs, so one call
+loads only its own: `stats` needs core and analytics, `glauber` core and
+glauber.  Every call is a fresh interpreter that loads, and without a
+bytecode cache compiles, each module it imports; start-up dominates the
+short calls.
+
 Worker count for ensembles comes from the NEWSMARKET_WORKERS environment
 variable (default 1); results do not depend on it.
 """
@@ -19,17 +25,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, analytics, market, phase, sentiment
-from .core import (MarketState, RandomSource, _PARAM_FIELDS, _count,
-                   _fields_line, _fmt, _load_record, _write_report,
-                   _write_table, load_params, read_series, write_series)
-from .glauber import (SpinMacroState, SpinSystemConfig, _runs,
-                      meanfield_compare)
-from .pricing import initial_sentiment, price_from_sentiment
+from . import __version__
+from .core import (FULL, SIMPLIFIED, MarketState, RandomSource,
+                   _PARAM_FIELDS, _count, _fields_line, _fmt, _length,
+                   _load_record, _write_report, _write_table, load_params,
+                   read_series, write_series)
 
 __all__ = ["main"]
-
-_SPIN_FIELDS = tuple(f.name for f in fields(SpinSystemConfig))
 
 
 def _header(command: str, *extra: str) -> list:
@@ -41,13 +43,15 @@ def _header(command: str, *extra: str) -> list:
 
 
 def cmd_simulate_empirical(args) -> None:
+    from .pricing import initial_sentiment, price_from_sentiment
+    from .sentiment import integrate_sentiment
+
     params = load_params(args.params)
     h_series = read_series(args.input)
     s0 = (args.init_s if args.init_s is not None
           else initial_sentiment(params.beta1, params.beta2,
                                  float(h_series.values[0])))
-    s = sentiment.integrate_sentiment(h_series, s0, params,
-                                      substeps=args.substeps)
+    s = integrate_sentiment(h_series, s0, params, substeps=args.substeps)
     p = price_from_sentiment(s, params)
     head = _header("simulate-empirical", _fields_line("params", params,
                                                       _PARAM_FIELDS),
@@ -59,6 +63,9 @@ def cmd_simulate_empirical(args) -> None:
 
 
 def cmd_simulate_theory(args) -> None:
+    from .market import ensemble
+    from .pricing import initial_sentiment
+
     params = load_params(args.params)
     theta = read_series(args.theta) if args.theta else None
     h0 = args.init_h if args.init_h is not None else math.tanh(params.delta)
@@ -70,7 +77,7 @@ def cmd_simulate_theory(args) -> None:
         s0 = initial_sentiment(params.beta1, params.beta2, h0)
     init = MarketState(s=s0, h=h0)
     rng = RandomSource(args.seed)
-    mean, runs = market.ensemble(
+    mean, runs = ensemble(
         params, init, args.horizon, args.realizations, rng,
         theta_profile=theta, mode=args.mode, substeps=args.substeps,
         beta1_shift=args.beta1_shift)
@@ -103,6 +110,10 @@ def cmd_simulate_theory(args) -> None:
 
 
 def cmd_analyze(args) -> None:
+    from . import phase
+    from .market import noise_dominance_map
+    from .sentiment import potential_uc
+
     params = load_params(args.params)
     head = _header(f"analyze {args.task}",
                    _fields_line("params", params, _PARAM_FIELDS))
@@ -161,15 +172,17 @@ def cmd_analyze(args) -> None:
             ("stable", rep.stable),
         ])
     elif args.task == "heatmap":
-        grid = np.linspace(-1.0, 1.0, _count("grid", args.grid))
-        values = market.noise_dominance_map(params, grid, grid)
+        n = _count("grid", args.grid)
+        _length(n * n, f"grid = {n} is too large: a {n}x{n} map does not "
+                "fit in an array")
+        grid = np.linspace(-1.0, 1.0, n)
+        values = noise_dominance_map(params, grid, grid)
         _write_table(args.out, head + [f"grid: {args.grid}x{args.grid}"],
                      ("s", "h", "feedback_to_noise"),
                      zip(np.repeat(grid, args.grid), np.tile(grid, args.grid),
                          values.ravel()))
     elif args.task == "potential":
-        curve = sentiment.potential_uc(params, params.c,
-                                       grid_size=args.grid)
+        curve = potential_uc(params, params.c, grid_size=args.grid)
         extra = [f"extremum: s={_fmt(s)} kind={kind}"
                  for s, kind in curve.extrema]
         _write_table(args.out, head + extra, ("s", "potential"),
@@ -177,9 +190,13 @@ def cmd_analyze(args) -> None:
 
 
 def cmd_glauber(args) -> None:
+    from .glauber import (SpinMacroState, SpinSystemConfig, _runs,
+                          meanfield_compare)
+
     config = _load_record(args.params, SpinSystemConfig, ints=("N_s", "N_h"))
     head = _header(f"glauber {args.task}",
-                   _fields_line("config", config, _SPIN_FIELDS),
+                   _fields_line("config", config,
+                                [f.name for f in fields(config)]),
                    f"seed: {args.seed}")
     rng = RandomSource(args.seed)
     init = SpinMacroState(
@@ -187,7 +204,9 @@ def cmd_glauber(args) -> None:
         H=config.N_h if args.init_H is None else args.init_H)
 
     if args.task == "trajectory":
-        n = _count("realizations", args.realizations)
+        n = _length(_count("realizations", args.realizations),
+                    f"realizations = {args.realizations} is too large: "
+                    "that many runs do not fit in an array")
         out = Path(args.out)
         if n > 1:
             out.mkdir(parents=True, exist_ok=True)
@@ -218,6 +237,8 @@ def cmd_glauber(args) -> None:
 
 
 def cmd_stats(args) -> None:
+    from . import analytics
+
     x = read_series(args.input, column=args.column)
     head = _header(f"stats {args.task}", f"input: {Path(args.input).name}",
                    f"column: {args.column if args.column else 'first'}")
@@ -244,6 +265,9 @@ def cmd_stats(args) -> None:
             if std == 0.0:
                 raise ValueError("constant input cannot be normalized")
             vals = (vals - np.mean(vals)) / std
+        if args.bins > 0:                  # numpy names a bad count itself
+            _length(args.bins, f"bins = {args.bins} is too large: that many "
+                    "bins do not fit in an array")
         density, edges = np.histogram(vals, bins=args.bins, density=True)
         _write_table(args.out, head + [
             f"bins: {args.bins}",
@@ -301,8 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--theta", default=None,
                    help="temperature profile CSV overriding beta1 = 1/theta")
-    p.add_argument("--mode", choices=(market.SIMPLIFIED, market.FULL),
-                   default=market.SIMPLIFIED)
+    p.add_argument("--mode", choices=(SIMPLIFIED, FULL), default=SIMPLIFIED)
     p.add_argument("--substeps", type=int, default=8)
     p.add_argument("--beta1-shift", type=float, default=0.0)
     p.add_argument("--init-s", type=float, default=None)

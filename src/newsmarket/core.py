@@ -42,6 +42,11 @@ _ROOT_XTOL = 1e-12
 _ROOT_RTOL = 4 * float(np.finfo(float).eps)
 _ROOT_MAXITER = 100
 
+# The two forms of the closed market model (market.simulate's mode); kept
+# here so that the CLI parser can offer them without importing market.
+SIMPLIFIED = "simplified"
+FULL = "full"
+
 # ModelParams fields in output order (the order of params lines and
 # manifests), which differs from the dataclass's declaration order.
 _PARAM_FIELDS = ("w_s", "w_h", "beta1", "beta2", "beta3", "beta4", "gamma",
@@ -129,6 +134,31 @@ def _count(name: str, value, least: int = 1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
     return value
+
+
+def _length(n, error: str) -> int:
+    """floor(n) for the length of an array that user input sets (n an int
+    or a float, inf included), once numpy has shown it can allocate that
+    many floats; the one size rule of the package.  A length numpy
+    refuses at once, past its index range or more than memory can hold,
+    raises ValueError(error), which names the flag or field that set it.
+    """
+    try:
+        n = math.floor(n)
+        np.empty(n)
+    except (OverflowError, ValueError, MemoryError):
+        raise ValueError(error) from None
+    return n
+
+
+def _div_cosh2(a: float, x: float) -> float:
+    """a / cosh(x)**2, that is a*sech(x)**2, written so that it cannot
+    overflow: where cosh(x)**2 would (|x| above about 355) the quotient
+    is 0.0 (with a's sign), and everywhere else it is the same float."""
+    try:
+        return a / math.cosh(x) ** 2
+    except OverflowError:
+        return 0.0 * a
 
 
 def validate(params: ModelParams) -> ModelParams:

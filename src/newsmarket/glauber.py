@@ -42,11 +42,12 @@ substream).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, _count
+from .core import RandomSource, _count, _length
 
 __all__ = [
     "SpinSystemConfig",
@@ -84,7 +85,9 @@ class SpinSystemConfig:
     cross couplings must satisfy J21/J12 = N_s/N_h, otherwise no single
     energy function generates both flip rates.
 
-    theta = inf is accepted as the infinite-temperature limit beta = 0:
+    theta must be at least sys.float_info.min, as 1/theta can overflow
+    for a subnormal theta.  theta = inf is accepted as the
+    infinite-temperature limit beta = 0:
     every flip is a fair coin at rate w/2, whatever the couplings and
     fields, and the Gibbs distribution is the product of two binomials.
     """
@@ -113,6 +116,10 @@ class SpinSystemConfig:
         sizes_ok = not bad
         if not self.theta > 0:
             bad.append("theta must be positive")
+        elif self.theta < sys.float_info.min:
+            # 1/theta can overflow for a subnormal theta
+            bad.append(f"theta must be at least {sys.float_info.min}, got "
+                       f"{self.theta!r}")
         if not self.w_s > 0:
             bad.append("w_s must be positive")
         if not self.w_h > 0:
@@ -305,16 +312,12 @@ def _runs(config, horizon, rngs, init, sample_step):
 
     rates = _make_rates(config)
     if sample_step is not None:
-        try:
-            n_samples = int(math.floor(horizon / sample_step)) + 1
-            grid = sample_step * np.arange(n_samples)
-        except (OverflowError, ValueError, MemoryError):
-            # horizon / sample_step is infinite, beyond an array's size,
-            # or more than memory holds
-            raise ValueError(f"sample_step {sample_step!r} is too small: "
-                             "a grid of horizon / sample_step = "
-                             f"{horizon / sample_step!r} points does not "
-                             "fit in an array") from None
+        ratio = horizon / sample_step
+        n_samples = _length(ratio, f"sample_step {sample_step!r} is too "
+                            "small: a grid of horizon / sample_step = "
+                            f"{ratio!r} points does not fit in an "
+                            "array") + 1
+        grid = sample_step * np.arange(n_samples)
         # inf follows the last grid point; the length check in the hold
         # loop stops it for an infinite waiting time too
         grid_t = grid.tolist() + [math.inf]
@@ -439,7 +442,9 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     if sample_step is None:
         raise ValueError("meanfield_compare needs a sample_step: runs "
                          "sampled per event cannot be averaged")
-    n_realizations = _count("n_realizations", n_realizations)
+    n_realizations = _length(_count("n_realizations", n_realizations),
+                             f"n_realizations = {n_realizations} is too "
+                             "large: that many runs do not fit in an array")
     runs = list(_runs(config, horizon,
                       [rng.substream(i) for i in range(n_realizations)],
                       init, sample_step))

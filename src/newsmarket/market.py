@@ -27,8 +27,8 @@ from functools import partial
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, MarketState, ModelParams, RandomSource,
-                   Series, _count, validate)
+from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
+                   RandomSource, Series, _count, _length, validate)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -40,9 +40,6 @@ __all__ = [
     "ensemble",
     "noise_dominance_map",
 ]
-
-SIMPLIFIED = "simplified"
-FULL = "full"
 
 _WORKERS_ENV = "NEWSMARKET_WORKERS"
 
@@ -206,7 +203,9 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     validate(params)
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
-    horizon_days = _count("horizon_days", horizon_days)
+    horizon_days = _length(_count("horizon_days", horizon_days),
+                           f"horizon_days = {horizon_days} is too large: "
+                           "that many days do not fit in an array")
     substeps = _count("substeps", substeps)
     if theta_profile is not None and theta_profile.step != 1.0:
         raise ValueError("theta_profile must be sampled daily (step = 1), "
@@ -267,7 +266,9 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
     variable unless passed explicitly; results are identical for any
     worker count.
     """
-    n_realizations = _count("n_realizations", n_realizations)
+    n_realizations = _length(_count("n_realizations", n_realizations),
+                             f"n_realizations = {n_realizations} is too "
+                             "large: that many runs do not fit in an array")
     name = "workers"
     if workers is None:
         name, env = _WORKERS_ENV, os.environ.get(_WORKERS_ENV, "1")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
-                   validate)
+                   _div_cosh2, _length, validate)
 from .market import (SIMPLIFIED, _daily_path, _left_box, _make_drift,
                      _rk4_step)
 from .sentiment import equilibria_1d
@@ -102,7 +102,7 @@ class LimitCycleReport:
 
 
 def _psi_phi_eta(s_star: float, params: ModelParams):
-    sech2 = 1.0 / math.cosh(params.delta) ** 2
+    sech2 = _div_cosh2(1.0, params.delta)
     psi = 1.0 - params.beta1 * (1.0 - s_star * s_star)
     phi = (params.beta2 * params.w_h * params.gamma
            * (1.0 - s_star * s_star) * sech2 - params.w_h / params.w_s)
@@ -123,7 +123,8 @@ def classify(point, params: ModelParams, branch: str = "") -> EquilibriumPoint:
     if not (r1 <= _RESIDUAL_TOL and r2 <= _RESIDUAL_TOL):
         raise ValueError(
             f"point ({s_star}, {h_star}) is not an equilibrium: residuals "
-            f"{r1:.3g}, {r2:.3g} exceed {_RESIDUAL_TOL}")
+            f"{r1:.3g}, {r2:.3g} exceed {_RESIDUAL_TOL}"
+            " in s = tanh(beta1*s + beta2*h), h = tanh(delta)")
 
     psi, phi, eta = _psi_phi_eta(s_star, params)
     tr = phi - psi
@@ -213,10 +214,15 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
     if x <= 0.0:
         raise ValueError("saddle branch: beta1*(1 - s*^2) >= 1 has no "
                          "node/focus transitions")
-    den = params.w_s * params.beta2 * one_m / math.cosh(params.delta) ** 2
-    if den <= 0.0:
+    num = params.w_s * params.beta2 * one_m
+    if num <= 0.0:
         raise ValueError("thresholds undefined: beta2*(1 - s*^2) must be "
                          "positive")
+    den = _div_cosh2(num, params.delta)
+    if den == 0.0:
+        raise ValueError("thresholds undefined: w_s*beta2*(1 - s*^2)*"
+                         f"sech^2(delta) underflows to 0 at delta = "
+                         f"{params.delta}")
     rx = math.sqrt(x)
     return ((1.0 - rx) ** 2 / den, (1.0 + x) / den, (1.0 + rx) ** 2 / den)
 
@@ -256,7 +262,8 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     simulation from the same state produces the identical path.
     """
     validate(params)
-    days = _count("days", days)
+    days = _length(_count("days", days), f"days = {days} is too large: "
+                   "that many days do not fit in an array")
     substeps = _count("substeps", substeps)
     dt = (-1.0 if reverse else 1.0) / substeps
     s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
@@ -352,7 +359,9 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     if sweep not in ("gamma", "beta2", "delta"):
         raise ValueError(f"cannot sweep {sweep!r}: pick gamma, beta2, "
                          "or delta")
-    steps = _count("steps", steps, least=2)
+    steps = _length(_count("steps", steps, least=2),
+                    f"steps = {steps} is too large: that many sweep points "
+                    "do not fit in an array")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{sweep} range must be finite, got {lo}:{hi}")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _count,
-                   validate)
+                   _div_cosh2, _length, validate)
 
 __all__ = [
     "STABLE",
@@ -117,7 +117,9 @@ def potential_uc(params: ModelParams, c: float,
     integer >= 3) points of [-1, 1]; extrema are located exactly (roots of
     s = tanh(beta1*s + c)), not from the sampled grid.
     """
-    grid_size = _count("grid_size", grid_size, least=3)
+    grid_size = _length(_count("grid_size", grid_size, least=3),
+                        f"grid_size = {grid_size} is too large: that many "
+                        "points do not fit in an array")
     b1 = params.beta1
     grid = np.linspace(-1.0, 1.0, grid_size)
     if b1 > 0:
@@ -165,6 +167,6 @@ def equilibria_1d(beta1: float, c: float) -> list:
                                  args=(beta1, c)))
     out = []
     for r in sorted(roots):
-        slope = beta1 / math.cosh(beta1 * r + c) ** 2 - 1.0
+        slope = _div_cosh2(beta1, beta1 * r + c) - 1.0
         out.append((r, STABLE if slope < 0 else UNSTABLE))
     return out

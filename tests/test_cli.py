@@ -183,6 +183,125 @@ print(sorted(m for m, v in sys.modules.items() if v is not None and
     assert proc.stdout.strip() == "[]"
 
 
+# The package modules each subcommand may not load: it runs none of them.
+_NOT_LOADED = {
+    "stats": {"glauber", "phase", "market", "pricing", "sentiment",
+              "reference"},
+    "glauber": {"market", "phase", "analytics"},
+    "analyze": {"glauber", "analytics"},
+    "simulate-theory": {"glauber", "phase", "analytics"},
+    "simulate-empirical": {"glauber", "phase", "analytics"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NOT_LOADED))
+def test_each_subcommand_loads_only_its_modules(params_file, spin_file,
+                                                h_file, tmp_path, command):
+    # every call is a fresh interpreter that compiles what it imports, and
+    # the CLI used to import all of the package for any subcommand
+    def out(name):
+        return str(tmp_path / name)
+
+    calls = {
+        "stats": [["stats", task, "--input", str(h_file), "--horizon", "5",
+                   "--max-lag", "5", "--increment", "5", "--window", "20",
+                   "--min-period", "20", "--out", out(task)]
+                  for task in ("returns", "moments", "histogram", "acf",
+                               "volatility", "lowpass")],
+        "glauber": [["glauber", task, "--params", str(spin_file),
+                     "--horizon", "5", "--sample-step", "1", "--out",
+                     out(task)] for task in ("trajectory", "meanfield")],
+        "analyze": [["analyze", task, "--params", str(params_file),
+                     "--steps", "5", "--grid", "5", "--max-days", "400",
+                     "--out", out(task)]
+                    for task in ("equilibria", "thresholds", "sweep",
+                                 "limit-cycle", "heatmap", "potential")],
+        "simulate-theory": [["simulate-theory", "--params", str(params_file),
+                             "--horizon", "20", "--out", out("theory")]],
+        "simulate-empirical": [["simulate-empirical", "--input", str(h_file),
+                                "--params", str(params_file),
+                                "--out", out("emp.csv")]],
+    }[command]
+    code = f"""
+import sys
+from newsmarket import cli
+for argv in {calls!r}:
+    assert cli.main(argv) == 0, argv
+print(" ".join(m.split(".")[1] for m in sys.modules
+               if m.startswith("newsmarket.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "cli" in loaded
+    assert not loaded & _NOT_LOADED[command], sorted(loaded)
+
+
+def test_counts_too_large_for_an_array_are_named(params_file, spin_file,
+                                                 h_file, tmp_path):
+    # numpy refuses each size at once (10**15 floats are 7 PiB) and used to
+    # escape as a MemoryError traceback; the realization counts used to
+    # build 10**15 random streams one by one, so the calls run in a child
+    # whose address space is capped at 512 MiB
+    big = str(10 ** 15)
+    params, spins, series = str(params_file), str(spin_file), str(h_file)
+    out = str(tmp_path / "out")
+    cases = [
+        (["simulate-theory", "--params", params, "--horizon", big],
+         "horizon_days"),
+        (["simulate-theory", "--params", params, "--horizon", "5",
+          "--realizations", big], "n_realizations"),
+        (["analyze", "sweep", "--params", params, "--steps", big], "steps"),
+        (["analyze", "heatmap", "--params", params, "--grid", big], "grid"),
+        (["analyze", "potential", "--params", params, "--grid", big],
+         "grid_size"),
+        (["glauber", "trajectory", "--params", spins, "--horizon", "5",
+          "--realizations", big], "realizations"),
+        (["glauber", "meanfield", "--params", spins, "--horizon", "5",
+          "--realizations", big], "n_realizations"),
+        (["stats", "histogram", "--input", series, "--bins", big], "bins"),
+    ]
+    code = f"""
+import contextlib, io, resource
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 29, 2 ** 29))
+from newsmarket import cli
+for argv, name in {cases!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = cli.main(argv + ["--out", {out!r}])
+    print(status, err.getvalue().strip())
+"""
+    # one BLAS thread keeps numpy's own buffers well inside the cap
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == len(cases)
+    for line, (_, name) in zip(lines, cases):
+        assert line.startswith(f"1 error: {name} = {big} is too large"), line
+
+
+@pytest.mark.parametrize("task", ["equilibria", "thresholds"])
+@pytest.mark.parametrize("field", ["beta1", "delta"])
+def test_analyze_with_a_huge_field_names_it_or_succeeds(tmp_path, capsys,
+                                                        field, task):
+    # cosh(x)**2 overflowed and escaped main as an OverflowError traceback
+    f = tmp_path / "p.txt"
+    f.write_text(MAIN_TEXT.replace(f"{field} = ", f"{field} = 1e300 # "))
+    out = tmp_path / "o.csv"
+    code = main(["analyze", task, "--params", str(f), "--out", str(out)])
+    if code == 0:
+        cells = read_text_table(out)
+        numbers = [float(v) for col in cells.values() for v in col
+                   if v[0] in "-0123456789in"]
+        assert numbers and all(map(math.isfinite, numbers))
+    else:
+        assert code == 1
+        assert field in capsys.readouterr().err
+
+
 def test_missing_file_reports_error(capsys, params_file, tmp_path):
     code = main(["simulate-empirical", "--input", str(tmp_path / "no.csv"),
                  "--params", str(params_file),

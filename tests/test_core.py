@@ -20,6 +20,7 @@ from newsmarket.core import (
     _NDTRI_EXPM2,
     _ROOT_XTOL,
     _brentq,
+    _div_cosh2,
     _ndtri,
     _ndtri1,
     load_params,
@@ -187,6 +188,40 @@ def test_count_arguments_are_checked_by_name(call, kwargs, name, least,
         message = f"{name} must be an integer, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
         call(**{**kwargs, name: value})
+
+
+# Every count that sizes an array from its value alone.  numpy refuses
+# 10**15 floats (7 PiB) at once; the refusal used to escape as its
+# MemoryError.  The realization counts build their random streams first,
+# so test_cli checks them in a child with a capped address space.
+SIZE_SITES = [
+    (simulate, _SIM, "horizon_days"),
+    (integrate_autonomous, _AUTO, "days"),
+    (bifurcation_sweep, dict(params=_QUIET, sweep="gamma",
+                             value_range=(0.0, 10.0)), "steps"),
+    (potential_uc, dict(params=_QUIET, c=0.0), "grid_size"),
+]
+
+
+@pytest.mark.parametrize("call, kwargs, name", SIZE_SITES, ids=[
+    f"{call.__name__}-{name}" for call, _, name in SIZE_SITES])
+def test_counts_too_large_for_an_array_are_named(call, kwargs, name):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"{name} = {10 ** 15} is too large")):
+        call(**{**kwargs, name: 10 ** 15})
+
+
+@given(a=st.floats(-1e300, 1e300),
+       x=st.floats(allow_nan=False, allow_infinity=False))
+@settings(max_examples=300, deadline=None)
+def test_div_cosh2_is_the_quotient_wherever_that_is_finite(a, x):
+    # the quotient used to raise OverflowError past |x| ~ 355
+    try:
+        want = a / math.cosh(x) ** 2
+    except OverflowError:
+        assert abs(x) > 355 and _div_cosh2(a, x) == 0.0
+    else:
+        assert repr(_div_cosh2(a, x)) == repr(want)
 
 
 def test_random_source_reproducible():

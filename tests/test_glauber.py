@@ -62,6 +62,15 @@ def test_config_validation():
     SpinSystemConfig(N_s=8, N_h=4, J12=0.5, J21=1.0)
 
 
+@pytest.mark.parametrize("theta", [1e-310, 5e-324, 2.2e-308])
+def test_config_rejects_a_subnormal_theta(theta):
+    # 1/theta overflowed: equilibrium_distribution returned an all-NaN P
+    # and simulate_glauber blamed the fields b_s, b_h
+    with pytest.raises(ValueError, match="theta must be at least"):
+        SpinSystemConfig(N_s=4, N_h=2, theta=theta)
+    SpinSystemConfig(N_s=4, N_h=2, theta=2.2250738585072014e-308)
+
+
 @given(name=st.sampled_from(["J11", "J12", "J21", "J22", "mu_s", "mu_h",
                              "w_s", "w_h", "b_s", "b_h"]),
        value=st.sampled_from([math.inf, -math.inf, math.nan]))
