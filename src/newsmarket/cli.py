@@ -193,7 +193,7 @@ def cmd_glauber(args) -> None:
     from .glauber import (SpinMacroState, SpinSystemConfig, _runs,
                           meanfield_compare)
 
-    config = _load_record(args.params, SpinSystemConfig, ints=("N_s", "N_h"))
+    config = _load_record(args.params, SpinSystemConfig)
     head = _header(f"glauber {args.task}",
                    _fields_line("config", config,
                                 [f.name for f in fields(config)]),

@@ -482,12 +482,12 @@ def parse_kv_file(path) -> dict[str, float]:
     return out
 
 
-def _load_record(path, cls, ints=(), **overrides):
+def _load_record(path, cls, **overrides):
     """Build the dataclass cls from a `name = value` file.
 
     overrides replace file values.  Unknown keys, missing required keys
     (fields without a default) and non-integral values of the fields
-    named in ints raise ValueError naming the key.
+    annotated int raise ValueError naming the key.
     """
     raw = parse_kv_file(path)
     raw.update(overrides)
@@ -499,11 +499,12 @@ def _load_record(path, cls, ints=(), **overrides):
     if missing:
         raise ValueError(
             f"{path}: missing required keys: {', '.join(missing)}")
-    for key in ints:
-        if key in raw:
-            if not float(raw[key]).is_integer():
-                raise ValueError(f"{path}: {key} must be an integer")
-            raw[key] = int(raw[key])
+    for f in fields(cls):
+        # the package's annotations are strings (from __future__ import)
+        if f.type == "int" and f.name in raw:
+            if not float(raw[f.name]).is_integer():
+                raise ValueError(f"{path}: {f.name} must be an integer")
+            raw[f.name] = int(raw[f.name])
     return cls(**raw)
 
 
@@ -522,32 +523,35 @@ def read_series(path, column=None) -> Series:
     non-finite rows raise with the line number; indices must be
     uniformly spaced, and the first is the Series' start_index.
     """
+    lines = list(_lines(path))
+    names = None
+    if lines:
+        head = [p.strip() for p in lines[0][1].split(",")]
+        try:
+            float(head[0])
+        except ValueError:
+            names = head
+            del lines[0]
+    if isinstance(column, str):
+        if names is None:
+            raise ValueError(f"{path}: column {column!r} requested but "
+                             "the file has no header row")
+        if column not in names:
+            raise ValueError(f"{path}: no column named {column!r}; "
+                             f"have {', '.join(names)}")
+        col = names.index(column)
+    else:
+        col = column if isinstance(column, int) else 1
+    if not lines:
+        raise ValueError(f"{path}: no data rows")
+    width = max(col, 1) + 1
     indices: list[float] = []
     values: list[float] = []
-    names: list[str] | None = None
-    col = column if isinstance(column, int) else None
-    for lineno, line in _lines(path):
+    for lineno, line in lines:
         parts = [p.strip() for p in line.split(",")]
-        if names is None and not values:
-            try:
-                float(parts[0])
-            except ValueError:
-                names = parts
-                if isinstance(column, str):
-                    if column not in names:
-                        raise ValueError(
-                            f"{path}: no column named {column!r}; "
-                            f"have {', '.join(names)}") from None
-                    col = names.index(column)
-                continue
-        if col is None:
-            if isinstance(column, str):
-                raise ValueError(f"{path}: column {column!r} requested but "
-                                 "the file has no header row")
-            col = 1
-        if len(parts) <= max(col, 1):
+        if len(parts) < width:
             raise ValueError(f"{path}: line {lineno}: expected at least "
-                             f"{max(col, 1) + 1} columns")
+                             f"{width} columns")
         try:
             idx = float(parts[0])
             val = float(parts[col])
@@ -555,12 +559,8 @@ def read_series(path, column=None) -> Series:
             raise ValueError(f"{path}: line {lineno}: malformed row") from None
         if not math.isfinite(val):
             raise ValueError(f"{path}: line {lineno}: non-finite value")
-        if not values:
-            first = lineno
         indices.append(idx)
         values.append(val)
-    if not values:
-        raise ValueError(f"{path}: no data rows")
     step = indices[1] - indices[0] if len(values) > 1 else 1.0
     if not (step > 0 and np.allclose(np.diff(indices), step, rtol=0,
                                      atol=1e-9)):
@@ -568,7 +568,7 @@ def read_series(path, column=None) -> Series:
     try:
         return Series(values, start_index=indices[0], step=step)
     except ValueError as e:
-        raise ValueError(f"{path}: line {first}: {e}") from None
+        raise ValueError(f"{path}: line {lines[0][0]}: {e}") from None
 
 
 def write_series(path, series: Series, label: str = "value",

@@ -88,10 +88,11 @@ def _left_box(day: int, s: float, h: float) -> RuntimeError:
 
 
 def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
-                s: float, h: float, substeps: int, dt: float, mode: str):
+                s: float, h: float, substeps: int, mode: str,
+                reverse: bool = False):
     """len(beta1) + 1 daily samples of (s, h), the first the initial
-    state; day d runs `substeps` RK4 steps of size dt with beta1[d] and
-    the held noise xi[d].
+    state; day d runs `substeps` RK4 steps of size 1/substeps (backward
+    in time when reverse) with beta1[d] and the held noise xi[d].
 
     Simplified mode runs the drift written out in the four stages, with
     the operations and their order of _rk4_step over _make_drift (hence
@@ -105,6 +106,7 @@ def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
     step-size failure; in reverse time it is an orbit escaping the
     physical box.
     """
+    dt = (-1.0 if reverse else 1.0) / substeps
     lim = 1.0 + _BOUND_SLACK
     # list appends and one range object: cheaper per day than numpy item
     # stores and a new range
@@ -238,7 +240,7 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     xi_seq = (rng.standard_normal(n - 1) if params.kappa != 0.0
               else np.zeros(n - 1))
     s_out, h_out = _daily_path(params, beta1, xi_seq, init.s, init.h,
-                               substeps, 1.0 / substeps, mode)
+                               substeps, mode)
 
     s_series = Series(s_out, start_index=0, step=1.0)
     h_series = Series(h_out, start_index=0, step=1.0)

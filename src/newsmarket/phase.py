@@ -105,8 +105,8 @@ def _psi_phi_eta(s_star: float, params: ModelParams):
     sech2 = _div_cosh2(1.0, params.delta)
     psi = 1.0 - params.beta1 * (1.0 - s_star * s_star)
     phi = (params.beta2 * params.w_h * params.gamma
-           * (1.0 - s_star * s_star) * sech2 - params.w_h / params.w_s)
-    return psi, phi, params.w_h / params.w_s
+           * (1.0 - s_star * s_star) * sech2 - params.eta)
+    return psi, phi, params.eta
 
 
 def classify(point, params: ModelParams, branch: str = "") -> EquilibriumPoint:
@@ -114,7 +114,8 @@ def classify(point, params: ModelParams, branch: str = "") -> EquilibriumPoint:
 
     The point must satisfy both equilibrium relations to 1e-8 (a NaN
     coordinate does not).  Returns the full EquilibriumPoint record;
-    eigenvalues in rescaled time.
+    eigenvalues in rescaled time.  A linearization that overflows raises
+    ValueError naming the fields it is built from.
     """
     s_star, h_star = float(point[0]), float(point[1])
     r1 = abs(s_star - math.tanh(params.beta1 * s_star
@@ -125,10 +126,20 @@ def classify(point, params: ModelParams, branch: str = "") -> EquilibriumPoint:
             f"point ({s_star}, {h_star}) is not an equilibrium: residuals "
             f"{r1:.3g}, {r2:.3g} exceed {_RESIDUAL_TOL}"
             " in s = tanh(beta1*s + beta2*h), h = tanh(delta)")
+    return _classify(s_star, h_star, params, branch)
 
+
+def _classify(s_star: float, h_star: float, params: ModelParams,
+              branch: str) -> EquilibriumPoint:
+    """classify without the residual check, for roots the package solved
+    itself."""
     psi, phi, eta = _psi_phi_eta(s_star, params)
     tr = phi - psi
     disc = tr * tr - 4.0 * psi * eta
+    if not math.isfinite(disc):
+        raise ValueError(
+            f"the linearization at ({s_star}, {h_star}) is not finite: its "
+            "terms in beta1, beta2, gamma, delta, w_h and w_s overflow")
     if disc >= 0.0:
         root = math.sqrt(disc)
         lam = ((tr + root) / 2.0 + 0.0j, (tr - root) / 2.0 + 0.0j)
@@ -155,12 +166,15 @@ def find_equilibria(params: ModelParams) -> list:
     self-consistency relation with tilt c = beta2*tanh(delta), found by
     equilibria_1d (analytic brackets, core._brentq).  Points come back
     sorted by s*.  params need not pass validate: delta may be negative.
+    The roots are classified without classify's residual check, which
+    their residual (about beta1 times the root tolerance) can exceed; a
+    linearization that overflows (beta1 of order 1e150) raises as there.
     """
     h_star = math.tanh(params.delta)
     c = params.beta2 * h_star
     roots = equilibria_1d(params.beta1, c)
     labels = _branch_labels([r for r, _ in roots], params.beta1)
-    return [classify((r, h_star), params, branch=lab)
+    return [_classify(r, h_star, params, lab)
             for (r, _), lab in zip(roots, labels)]
 
 
@@ -265,10 +279,9 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     days = _length(_count("days", days), f"days = {days} is too large: "
                    "that many days do not fit in an array")
     substeps = _count("substeps", substeps)
-    dt = (-1.0 if reverse else 1.0) / substeps
     s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
                                np.zeros(days - 1), init.s, init.h, substeps,
-                               dt, SIMPLIFIED)
+                               SIMPLIFIED, reverse)
     return Series(s_out, 0, 1.0), Series(h_out, 0, 1.0)
 
 
@@ -368,21 +381,15 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     # Each sweepable field is valid on [0, inf), so the ends cover the grid.
     for end in (lo, hi):
         validate(params.replace(**{sweep: end}))
-    values = np.linspace(lo, hi, steps)
     rows = []
+    for v in np.linspace(lo, hi, steps).tolist():
+        pts = find_equilibria(params.replace(**{sweep: v}))
+        rows.append((v, {p.branch: p.stability for p in pts}))
     transitions = []
-    prev = None
-    prev_v = None
-    for v in values:
-        pts = find_equilibria(params.replace(**{sweep: float(v)}))
-        classes = {p.branch: p.stability for p in pts}
-        rows.append((float(v), classes))
-        if prev is not None:
-            for branch in sorted(set(prev) | set(classes)):
-                before = prev.get(branch, "absent")
-                after = classes.get(branch, "absent")
-                if before != after:
-                    transitions.append((prev_v, float(v), branch,
-                                        before, after))
-        prev, prev_v = classes, float(v)
+    for (v0, before), (v1, after) in zip(rows, rows[1:]):
+        for branch in sorted(set(before) | set(after)):
+            c0 = before.get(branch, "absent")
+            c1 = after.get(branch, "absent")
+            if c0 != c1:
+                transitions.append((v0, v1, branch, c0, c1))
     return rows, transitions

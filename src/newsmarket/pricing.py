@@ -16,7 +16,7 @@ import numpy as np
 
 from .core import ModelParams, Series, _count
 from .reference import solve_sbar
-from .sentiment import equilibria_1d, integrate_sentiment
+from .sentiment import STABLE, equilibria_1d, integrate_sentiment
 
 __all__ = [
     "PriceFit",
@@ -71,6 +71,19 @@ def price_from_sentiment(s: Series, params: ModelParams) -> Series:
     return Series(fast.values + slow.values, s.start_index, s.step)
 
 
+def _least_squares(columns, target):
+    """Ordinary least squares of target on the regressor columns plus an
+    intercept.  Returns (coef, fitted), the intercept last in coef.
+    Raises "degenerate sentiment series" when the design is
+    rank-deficient.
+    """
+    design = np.column_stack([*columns, np.ones(len(target))])
+    coef, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+    if rank < design.shape[1]:
+        raise ValueError("degenerate sentiment series")
+    return coef, design @ coef
+
+
 def calibrate_price(s: Series, p_obs: Series) -> PriceFit:
     """Least-squares fit of (a1, a2, a4, s_star) to an observed log price.
 
@@ -86,35 +99,14 @@ def calibrate_price(s: Series, p_obs: Series) -> PriceFit:
         raise ValueError("need at least 30 samples to calibrate")
     t = s.step * np.arange(n)
     integ = _cumtrapz0(s.values, s.step)
-    design = np.column_stack([s.values, integ, t, np.ones(n)])
-    coef, _, rank, _ = np.linalg.lstsq(design, p_obs.values, rcond=None)
-    if rank < 4:
-        raise ValueError("degenerate sentiment series")
+    coef, fitted = _least_squares([s.values, integ, t], p_obs.values)
     a1, a2, ct, a4 = (float(v) for v in coef)
     s_star = -ct / a2
-    fitted = design @ coef
     resid = fitted - p_obs.values
     rms = float(np.sqrt(np.mean(resid**2)))
     corr = float(np.corrcoef(fitted, p_obs.values)[0, 1])
     return PriceFit(a1=a1, a2=a2, a4=a4, s_star=s_star,
                     residual_rms=rms, correlation=corr)
-
-
-def _fit_window_fixed_sstar(s_vals, p_vals, s_star, step):
-    """OLS of p on {s, integral of (s - s_star)} + intercept.
-
-    Returns ((a1, a2, a4), residual sum of squares, fitted values).
-    Raises on a rank-deficient window design.
-    """
-    n = len(s_vals)
-    t = step * np.arange(n)
-    reg2 = _cumtrapz0(s_vals, step) - s_star * t
-    design = np.column_stack([s_vals, reg2, np.ones(n)])
-    coef, _, rank, _ = np.linalg.lstsq(design, p_vals, rcond=None)
-    if rank < 3:
-        raise ValueError("degenerate sentiment series")
-    resid = design @ coef - p_vals
-    return coef, float(resid @ resid), design @ coef
 
 
 def initial_sentiment(beta1: float, beta2: float, h0: float) -> float:
@@ -124,7 +116,7 @@ def initial_sentiment(beta1: float, beta2: float, h0: float) -> float:
     when it exists, the single root otherwise.
     """
     roots = equilibria_1d(beta1, beta2 * h0)
-    stable = [r for r, kind in roots if kind == "stable"]
+    stable = [r for r, kind in roots if kind == STABLE]
     return max(stable) if stable else roots[-1][0]
 
 
@@ -174,10 +166,16 @@ def iterative_theta_fit(H: Series, p_obs: Series, params: ModelParams,
     theta_vals = np.empty(ends[-1])
     fit_vals = np.empty(ends[-1])
     for lo, hi in zip(edges, ends):
+        # restricted refit: p on {s, integral of (s - s_star)} + intercept
+        t = H.step * np.arange(hi - lo)
+        p_win = p_obs.values[lo:hi]
         best = None
         for k, b1 in enumerate(grid):
-            _, rss, fitted = _fit_window_fixed_sstar(
-                paths[k][lo:hi], p_obs.values[lo:hi], stars[k], H.step)
+            s_win = paths[k][lo:hi]
+            reg2 = _cumtrapz0(s_win, H.step) - stars[k] * t
+            _, fitted = _least_squares([s_win, reg2], p_win)
+            resid = fitted - p_win
+            rss = float(resid @ resid)
             if best is None or rss < best[0]:
                 best = (rss, float(b1), fitted)
         _, b1_win, fitted = best

@@ -302,6 +302,17 @@ def test_analyze_with_a_huge_field_names_it_or_succeeds(tmp_path, capsys,
         assert field in capsys.readouterr().err
 
 
+def test_analyze_equilibria_at_beta1_1e6(tmp_path):
+    # classify's residual check refused find_equilibria's own middle root
+    f = tmp_path / "p.txt"
+    f.write_text(MAIN_TEXT.replace("beta1 = 1.1", "beta1 = 1e6"))
+    out = tmp_path / "o.csv"
+    assert main(["analyze", "equilibria", "--params", str(f),
+                 "--out", str(out)]) == 0
+    cells = read_text_table(out)
+    assert cells["class"] == ["StableNode", "Saddle", "StableNode"]
+
+
 def test_missing_file_reports_error(capsys, params_file, tmp_path):
     code = main(["simulate-empirical", "--input", str(tmp_path / "no.csv"),
                  "--params", str(params_file),

@@ -21,6 +21,7 @@ from newsmarket.core import (
     _ROOT_XTOL,
     _brentq,
     _div_cosh2,
+    _load_record,
     _ndtri,
     _ndtri1,
     load_params,
@@ -326,6 +327,15 @@ def test_report_exact_bytes(tmp_path):
                               b"whole = 56.0\nname = none\n")
 
 
+def test_load_record_makes_int_annotated_fields_ints(tmp_path):
+    f = tmp_path / "spins.txt"
+    f.write_text("N_s = 8.0\nN_h = 4\ntheta = 2\n")
+    config = _load_record(f, SpinSystemConfig)
+    assert (config.N_s, config.N_h, config.theta) == (8, 4, 2.0)
+    assert (type(config.N_s), type(config.N_h), type(config.theta)) == (
+        int, int, float)
+
+
 def test_read_series_column_selection(tmp_path):
     f = tmp_path / "multi.csv"
     f.write_text("date_index,s,h\n0,0.1,0.9\n1,0.2,0.8\n")
@@ -336,6 +346,10 @@ def test_read_series_column_selection(tmp_path):
         read_series(f, column="zzz")
     g = tmp_path / "bare.csv"
     g.write_text("0,0.1\n1,0.2\n")
+    with pytest.raises(ValueError, match="no header"):
+        read_series(g, column="s")
+    # no header and no data: the missing header is reported
+    g.write_text("# only comments\n")
     with pytest.raises(ValueError, match="no header"):
         read_series(g, column="s")
 
@@ -351,6 +365,10 @@ def test_read_series_errors(tmp_path):
     f.write_text("# only comments\n")
     with pytest.raises(ValueError, match="no data"):
         read_series(f)
+    f.write_text("date_index,value\n# no rows\n")
+    for column in (None, "value"):
+        with pytest.raises(ValueError, match="no data rows"):
+            read_series(f, column)
     f.write_text("date_index,value\n0,inf\n")
     with pytest.raises(ValueError, match="non-finite"):
         read_series(f)

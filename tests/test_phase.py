@@ -417,3 +417,18 @@ def test_tangency_labels_the_two_outer_branches():
     pts = find_equilibria(MAIN.replace(delta=delta_critical(1.1, 0.55)))
     assert [p.branch for p in pts] == ["s_minus", "s_plus"]
     assert pts[0].s_star_pt == pytest.approx(-math.sqrt(0.1 / 1.1), abs=1e-6)
+
+
+@pytest.mark.parametrize("beta1", [1e6, 1e100])
+def test_find_equilibria_takes_its_own_roots_at_a_large_beta1(beta1):
+    # the middle root's residual is about beta1 times the root tolerance;
+    # classify's 1e-8 check refused it at beta1 = 1e6 and 1e100
+    pts = find_equilibria(MAIN.replace(beta1=beta1))
+    assert [(p.branch, p.stability) for p in pts] == [
+        ("s_minus", STABLE_NODE), ("s_zero", SADDLE), ("s_plus", STABLE_NODE)]
+    assert all(math.isfinite(abs(lam)) for p in pts for lam in p.eigenvalues)
+
+
+def test_find_equilibria_names_beta1_when_the_linearization_overflows():
+    with pytest.raises(ValueError, match="not finite: its terms in beta1,"):
+        find_equilibria(MAIN.replace(beta1=1e300))
