@@ -4,7 +4,6 @@ Fourier smoothing, and multichannel singular spectrum reconstruction."""
 from __future__ import annotations
 
 import math
-import operator
 
 import numpy as np
 
@@ -124,10 +123,7 @@ def cross_correlation(x: Series, y: Series, lags) -> list:
     xv, yv = x.values, y.values
     out = []
     for lag in lags:
-        try:
-            k = operator.index(lag)
-        except TypeError:
-            raise ValueError(f"lag must be an integer, got {lag!r}") from None
+        k = _count("lag", lag, least=-n)
         if abs(k) >= n - 1:
             raise ValueError(f"lag {k} leaves fewer than two pairs")
         if k >= 0:

@@ -28,8 +28,8 @@ import numpy as np
 from . import __version__
 from .core import (FULL, SIMPLIFIED, MarketState, RandomSource,
                    _PARAM_FIELDS, _count, _fields_line, _fmt, _length,
-                   _load_record, _write_report, _write_table, load_params,
-                   read_series, write_series)
+                   _load_record, _size, _write_report, _write_table,
+                   load_params, read_series, write_series)
 
 __all__ = ["main"]
 
@@ -204,9 +204,7 @@ def cmd_glauber(args) -> None:
         H=config.N_h if args.init_H is None else args.init_H)
 
     if args.task == "trajectory":
-        n = _length(_count("realizations", args.realizations),
-                    f"realizations = {args.realizations} is too large: "
-                    "that many runs do not fit in an array")
+        n = _size("realizations", args.realizations)
         out = Path(args.out)
         if n > 1:
             out.mkdir(parents=True, exist_ok=True)
@@ -265,9 +263,7 @@ def cmd_stats(args) -> None:
             if std == 0.0:
                 raise ValueError("constant input cannot be normalized")
             vals = (vals - np.mean(vals)) / std
-        if args.bins > 0:                  # numpy names a bad count itself
-            _length(args.bins, f"bins = {args.bins} is too large: that many "
-                    "bins do not fit in an array")
+        _size("bins", args.bins)
         density, edges = np.histogram(vals, bins=args.bins, density=True)
         _write_table(args.out, head + [
             f"bins: {args.bins}",

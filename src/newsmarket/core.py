@@ -139,7 +139,7 @@ def _count(name: str, value, least: int = 1) -> int:
 def _length(n, error: str) -> int:
     """floor(n) for the length of an array that user input sets (n an int
     or a float, inf included), once numpy has shown it can allocate that
-    many floats; the one size rule of the package.  A length numpy
+    many floats (a count goes through _size).  A length numpy
     refuses at once, past its index range or more than memory can hold,
     raises ValueError(error), which names the flag or field that set it.
     """
@@ -149,6 +149,13 @@ def _length(n, error: str) -> int:
     except (OverflowError, ValueError, MemoryError):
         raise ValueError(error) from None
     return n
+
+
+def _size(name: str, value, least: int = 1) -> int:
+    """_count(name, value, least), checked by _length as an array length;
+    the one rule of every count that sizes an array."""
+    return _length(_count(name, value, least),
+                   f"{name} = {value} is too large for an array")
 
 
 def _div_cosh2(a: float, x: float) -> float:
@@ -541,7 +548,7 @@ def read_series(path, column=None) -> Series:
                              f"have {', '.join(names)}")
         col = names.index(column)
     else:
-        col = column if isinstance(column, int) else 1
+        col = 1 if column is None else _count("column", column, least=0)
     if not lines:
         raise ValueError(f"{path}: no data rows")
     width = max(col, 1) + 1

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RandomSource, _count, _length
+from .core import RandomSource, _count, _length, _size
 
 __all__ = [
     "SpinSystemConfig",
@@ -442,9 +442,7 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     if sample_step is None:
         raise ValueError("meanfield_compare needs a sample_step: runs "
                          "sampled per event cannot be averaged")
-    n_realizations = _length(_count("n_realizations", n_realizations),
-                             f"n_realizations = {n_realizations} is too "
-                             "large: that many runs do not fit in an array")
+    n_realizations = _size("n_realizations", n_realizations)
     runs = list(_runs(config, horizon,
                       [rng.substream(i) for i in range(n_realizations)],
                       init, sample_step))

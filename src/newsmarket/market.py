@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
-                   RandomSource, Series, _count, _length, validate)
+                   RandomSource, Series, _count, _size, validate)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -205,9 +205,7 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     validate(params)
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
-    horizon_days = _length(_count("horizon_days", horizon_days),
-                           f"horizon_days = {horizon_days} is too large: "
-                           "that many days do not fit in an array")
+    horizon_days = _size("horizon_days", horizon_days)
     substeps = _count("substeps", substeps)
     if theta_profile is not None and theta_profile.step != 1.0:
         raise ValueError("theta_profile must be sampled daily (step = 1), "
@@ -268,9 +266,7 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
     variable unless passed explicitly; results are identical for any
     worker count.
     """
-    n_realizations = _length(_count("n_realizations", n_realizations),
-                             f"n_realizations = {n_realizations} is too "
-                             "large: that many runs do not fit in an array")
+    n_realizations = _size("n_realizations", n_realizations)
     name = "workers"
     if workers is None:
         name, env = _WORKERS_ENV, os.environ.get(_WORKERS_ENV, "1")

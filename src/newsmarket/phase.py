@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
-                   _div_cosh2, _length, validate)
+                   _div_cosh2, _size, validate)
 from .market import (SIMPLIFIED, _daily_path, _left_box, _make_drift,
                      _rk4_step)
 from .sentiment import equilibria_1d
@@ -189,15 +189,21 @@ def _branch_labels(roots, beta1: float) -> list:
     return ["s_minus", "s_plus"][:len(roots)]
 
 
+def _check_fold_domain(beta1: float, beta2: float) -> None:
+    """The fold exists for 1 < beta1 < inf and 0 < beta2 < inf."""
+    if not 1.0 < beta1 < math.inf:
+        raise ValueError(f"the fold needs 1 < beta1 < inf, got {beta1}")
+    if not 0.0 < beta2 < math.inf:
+        raise ValueError(f"the fold needs 0 < beta2 < inf, got {beta2}")
+
+
 def delta_critical(beta1: float, beta2: float) -> float:
     """Bias at which the shallow well disappears (fold of the fixed points).
 
-    Three equilibria exist for delta below this value, one above.
+    Three equilibria exist for delta below this value, one above; needs
+    1 < beta1 < inf and 0 < beta2 < inf.
     """
-    if not beta1 > 1.0:
-        raise ValueError("delta_critical requires beta1 > 1")
-    if not beta2 > 0.0:
-        raise ValueError("delta_critical requires beta2 > 0")
+    _check_fold_domain(beta1, beta2)
     q = math.sqrt((beta1 - 1.0) / beta1)
     arg = (0.5 * math.log((1.0 - q) / (1.0 + q))
            + math.sqrt(beta1 * (beta1 - 1.0))) / beta2
@@ -208,9 +214,8 @@ def delta_critical(beta1: float, beta2: float) -> float:
 
 
 def delta_critical_asymptotic(beta1: float, beta2: float) -> float:
-    """Small-(beta1 - 1) expansion of delta_critical."""
-    if not beta1 > 1.0:
-        raise ValueError("asymptotic form requires beta1 > 1")
+    """Small-(beta1 - 1) expansion of delta_critical, on its domain."""
+    _check_fold_domain(beta1, beta2)
     return 2.0 / (3.0 * beta2 * beta1 ** 1.5) * (beta1 - 1.0) ** 1.5
 
 
@@ -276,8 +281,7 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     simulation from the same state produces the identical path.
     """
     validate(params)
-    days = _length(_count("days", days), f"days = {days} is too large: "
-                   "that many days do not fit in an array")
+    days = _size("days", days)
     substeps = _count("substeps", substeps)
     s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
                                np.zeros(days - 1), init.s, init.h, substeps,
@@ -372,9 +376,7 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     if sweep not in ("gamma", "beta2", "delta"):
         raise ValueError(f"cannot sweep {sweep!r}: pick gamma, beta2, "
                          "or delta")
-    steps = _length(_count("steps", steps, least=2),
-                    f"steps = {steps} is too large: that many sweep points "
-                    "do not fit in an array")
+    steps = _size("steps", steps, least=2)
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{sweep} range must be finite, got {lo}:{hi}")

@@ -38,6 +38,13 @@ def _averaged_gap(s: float, beta1: float, sigma: float) -> float:
     return t * (1.0 + sigma * sigma * (t * t - 1.0)) - s
 
 
+def _check_domain(beta1: float, sigma: float) -> None:
+    if not (0.0 <= beta1 <= 2.0):
+        raise ValueError("beta1 must lie in [0, 2]")
+    if not (0.0 <= sigma < 1.0):
+        raise ValueError("sigma must lie in [0, 1)")
+
+
 def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
     """Positive root of the noise-averaged fixed-point relation.
 
@@ -48,10 +55,7 @@ def solve_sbar(beta1: float, sigma: float, full_output: bool = False):
 
     Negative-branch callers negate the result by symmetry.
     """
-    if not (0.0 <= beta1 <= 2.0):
-        raise ValueError("beta1 must lie in [0, 2]")
-    if not (0.0 <= sigma < 1.0):
-        raise ValueError("sigma must lie in [0, 1)")
+    _check_domain(beta1, sigma)
     args = (beta1, sigma)
     if beta1 <= 1.0 or (_averaged_gap(_BRACKET_LO, *args)
                         * _averaged_gap(1.0, *args) > 0.0):
@@ -74,8 +78,10 @@ def s_star_corrected(beta1: float, sigma: float) -> float:
     s_plus * (1 + sigma^2*(1 - s_plus^2) / (beta1*(1 - s_plus^2) - 1))
     with s_plus from s_star_leading.  The denominator is negative in the
     ordered phase, so the correction pulls the level toward the origin.
-    Returns 0 for beta1 <= 1.
+    Takes solve_sbar's domain, beta1 in [0, 2] and sigma in [0, 1), and
+    returns 0 for beta1 <= 1.
     """
+    _check_domain(beta1, sigma)
     if beta1 <= 1.0:
         return 0.0
     sp = s_star_leading(beta1)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _count,
-                   _div_cosh2, _length, validate)
+                   _size, validate)
 
 __all__ = [
     "STABLE",
@@ -117,9 +117,7 @@ def potential_uc(params: ModelParams, c: float,
     integer >= 3) points of [-1, 1]; extrema are located exactly (roots of
     s = tanh(beta1*s + c)), not from the sampled grid.
     """
-    grid_size = _length(_count("grid_size", grid_size, least=3),
-                        f"grid_size = {grid_size} is too large: that many "
-                        "points do not fit in an array")
+    grid_size = _size("grid_size", grid_size, least=3)
     b1 = params.beta1
     grid = np.linspace(-1.0, 1.0, grid_size)
     if b1 > 0:
@@ -145,8 +143,9 @@ def equilibria_1d(beta1: float, c: float) -> list:
     beta1 > 1.  [-1, s_-, s_+, 1] therefore cuts [-1, 1] into at most three
     brackets with at most one root each; core._brentq solves every bracket
     whose ends differ in sign to 1e-12, and a root on a bracket end is
-    taken as is, once.  A root is stable when d/ds[tanh(beta1*s + c) - s] < 0
-    there.  Returns (s_root, "stable"|"unstable") sorted by s.
+    taken as is, once.  A root is stable where g falls across its bracket,
+    and on a bracket end (s = +-1, or a fold whose gap rounds to 0), and
+    unstable where g rises.  Returns (s, "stable"|"unstable") sorted by s.
     """
     for name, value in (("beta1", beta1), ("c", c)):
         if not math.isfinite(value):
@@ -160,13 +159,11 @@ def equilibria_1d(beta1: float, c: float) -> list:
                  if -1.0 < x < 1.0}
     ends = [-1.0, *sorted(inner), 1.0]
     vals = [_self_consistency_gap(x, beta1, c) for x in ends]
-    roots = [x for x, v in zip(ends, vals) if v == 0.0]
+    roots = [(x, STABLE) for x, v in zip(ends, vals) if v == 0.0]
     for lo, hi, f_lo, f_hi in zip(ends, ends[1:], vals, vals[1:]):
         if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-            roots.append(_brentq(_self_consistency_gap, lo, hi,
-                                 args=(beta1, c)))
-    out = []
-    for r in sorted(roots):
-        slope = _div_cosh2(beta1, beta1 * r + c) - 1.0
-        out.append((r, STABLE if slope < 0 else UNSTABLE))
-    return out
+            roots.append((_brentq(_self_consistency_gap, lo, hi,
+                                  args=(beta1, c)),
+                          UNSTABLE if f_lo < 0.0 else STABLE))
+    # by s alone: roots that round to one float keep their bracket order
+    return sorted(roots, key=lambda root: root[0])

@@ -200,6 +200,8 @@ def test_cross_correlation_takes_numpy_integer_lags():
     assert all(type(lag) is int for lag, _ in got)
     with pytest.raises(ValueError, match="lag -199 leaves fewer than two"):
         cross_correlation(x, y, [np.int64(-199)])
+    with pytest.raises(ValueError, match="lag must be >= -200"):
+        cross_correlation(x, y, [-201])
 
 
 def test_rolling_volatility_hand_example():

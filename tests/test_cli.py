@@ -547,6 +547,20 @@ def test_analyze_potential(params_file, tmp_path):
     assert "extremum:" in out.read_text()
 
 
+@pytest.mark.parametrize("beta1, kinds", [("1.0", ["min"]),
+                                          ("1e100", ["min", "max", "min"])])
+def test_analyze_potential_labels_alternate(tmp_path, beta1, kinds):
+    # beta1 = 1 wrote the single well's bottom as a max, and huge beta1
+    # wrote three minima
+    params = tmp_path / "params.txt"
+    params.write_text(MAIN_TEXT.replace("beta1 = 1.1", f"beta1 = {beta1}"))
+    out = tmp_path / "pot.csv"
+    assert main(["analyze", "potential", "--params", str(params),
+                 "--grid", "7", "--out", str(out)]) == 0
+    assert [line.split("kind=")[1] for line in out.read_text().splitlines()
+            if "kind=" in line] == kinds
+
+
 def test_glauber_trajectory(spin_file, tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["glauber", "trajectory", "--params", str(spin_file),
@@ -748,6 +762,16 @@ def test_stats_zero_variance_error(tmp_path, capsys):
                  "--out", str(tmp_path / "m.txt")])
     assert code == 1
     assert "zero variance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_stats_histogram_names_a_bin_count_below_one(tmp_path, capsys, bins):
+    f, _ = make_price_file(tmp_path)
+    out = tmp_path / "hist.csv"
+    code = main(["stats", "histogram", "--input", str(f), "--bins", bins,
+                 "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert "bins must be >= 1" in capsys.readouterr().err
 
 
 def test_stats_histogram_of_a_constant_column(tmp_path, capsys):

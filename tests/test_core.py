@@ -342,6 +342,8 @@ def test_read_series_column_selection(tmp_path):
     assert np.array_equal(read_series(f).values, [0.1, 0.2])
     assert np.array_equal(read_series(f, column="h").values, [0.9, 0.8])
     assert np.array_equal(read_series(f, column=2).values, [0.9, 0.8])
+    assert np.array_equal(read_series(f, column=np.int64(2)).values,
+                          [0.9, 0.8])
     with pytest.raises(ValueError, match="no column named"):
         read_series(f, column="zzz")
     g = tmp_path / "bare.csv"
@@ -352,6 +354,15 @@ def test_read_series_column_selection(tmp_path):
     g.write_text("# only comments\n")
     with pytest.raises(ValueError, match="no header"):
         read_series(g, column="s")
+
+
+@pytest.mark.parametrize("column", [2.0, -1])
+def test_read_series_rejects_a_position_that_is_not_a_count(tmp_path, column):
+    # 2.0 silently read column 1 and -1 the last column
+    f = tmp_path / "multi.csv"
+    f.write_text("date_index,s,h\n0,0.1,0.9\n1,0.2,0.8\n")
+    with pytest.raises(ValueError, match="column"):
+        read_series(f, column=column)
 
 
 def test_read_series_errors(tmp_path):

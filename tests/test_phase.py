@@ -126,6 +126,19 @@ def test_delta_critical_asymptotic_near_transition():
         delta_critical_asymptotic(1.0, 0.55)
 
 
+@pytest.mark.parametrize("fold", [delta_critical, delta_critical_asymptotic])
+@pytest.mark.parametrize("beta1, beta2, name", [
+    (math.inf, 1.0, "beta1"), (math.nan, 1.0, "beta1"),
+    (2.0, 0.0, "beta2"), (2.0, -1.0, "beta2"), (2.0, math.nan, "beta2"),
+    (2.0, math.inf, "beta2")])
+def test_fold_forms_name_a_field_outside_their_domain(fold, beta1, beta2,
+                                                      name):
+    # the asymptotic form divided by zero at beta2 = 0 and returned NaN or
+    # a negative bias elsewhere; delta_critical(inf, 1) blamed "tilt nan"
+    with pytest.raises(ValueError, match=name):
+        fold(beta1, beta2)
+
+
 def test_gamma_thresholds_frozen():
     sp = max(find_equilibria(MAIN), key=lambda q: q.s_star_pt)
     g1, g2, g3 = gamma_thresholds(sp.s_star_pt, MAIN)

@@ -56,6 +56,15 @@ def test_solve_sbar_domain_errors():
         solve_sbar(1.1, -0.1)
 
 
+@pytest.mark.parametrize("beta1, sigma, name", [
+    (-1.0, 0.3, "beta1"), (2.5, 0.3, "beta1"), (0.5, math.nan, "sigma"),
+    (1.5, math.nan, "sigma"), (1.5, -2.0, "sigma"), (1.5, 1.0, "sigma")])
+def test_corrected_takes_the_domain_of_solve_sbar(beta1, sigma, name):
+    # beta1 <= 1 returned 0.0 unchecked, and sigma was never checked
+    with pytest.raises(ValueError, match=name):
+        s_star_corrected(beta1, sigma)
+
+
 def test_leading_matches_equilibrium_solver():
     from newsmarket.sentiment import equilibria_1d
 

@@ -273,5 +273,20 @@ def test_equilibria_roots_are_true_roots(beta1, c):
     ss = [r for r, _ in roots]
     assert all(abs(math.tanh(beta1 * r + c) - r) < 1e-9 for r in ss)
     assert ss == sorted(ss)
-    if len(roots) == 3 and min(np.diff(ss)) > 1e-3:
+    if len(roots) == 3:
         assert [k for _, k in roots] == [STABLE, UNSTABLE, STABLE]
+
+
+def test_equilibria_at_the_critical_point_is_one_stable_root():
+    # the bottom of the quartic well at beta1 = 1 has a slope that rounds
+    # to 0.0, which a slope test read as unstable
+    assert equilibria_1d(1.0, 0.0) == [(0.0, STABLE)]
+
+
+@pytest.mark.parametrize("c", [0.0, 0.03, -0.2])
+@pytest.mark.parametrize("beta1", [1e14, 1e50, 1e100, 1e200])
+def test_equilibria_labels_alternate_at_huge_beta1(beta1, c):
+    # the middle root lands on a turning point within the solver's
+    # tolerance, where the slope is about 0; a slope test made it stable
+    roots = equilibria_1d(beta1, c)
+    assert [k for _, k in roots] == [STABLE, UNSTABLE, STABLE]

@@ -65,6 +65,8 @@ INPUTS = {
     "main.txt": MAIN,
     "cycle.txt": CYCLE,
     "big_beta1.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1e6"),
+    "critical.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1.0"),
+    "huge_beta1.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1e100"),
     "spins.txt": SPINS,
     "H.csv": _csv("H", [0.4 * math.sin(2 * math.pi * d / 250.0)
                         + 0.1 * math.sin(2 * math.pi * d / 17.0)
@@ -101,15 +103,22 @@ CALLS = [
     "--max-days 2000 --reverse --out limit_cycle_reverse.txt",
     "analyze heatmap --params main.txt --grid 11 --out heatmap.csv",
     "analyze potential --params main.txt --grid 51 --out potential.csv",
+    "analyze potential --params critical.txt --grid 51 "
+    "--out potential_critical.csv",
+    "analyze potential --params huge_beta1.txt --grid 51 "
+    "--out potential_huge_beta1.csv",
     "glauber trajectory --params spins.txt --horizon 20 --seed 3 "
     "--out trajectory.csv",
     "glauber trajectory --params spins.txt --horizon 20 --sample-step 0.5 "
     "--realizations 2 --seed 4 --out trajectories",
     "glauber meanfield --params spins.txt --horizon 20 --realizations 5 "
     "--seed 21 --out meanfield.txt",
+    "glauber trajectory --params spins.txt --horizon 20 "
+    "--realizations 1000000000000000 --seed 3 --out err8",
     "stats returns --input emp.csv --column p --out returns.csv",
     "stats moments --input returns.csv --normalize --out moments.txt",
     "stats histogram --input returns.csv --bins 20 --out histogram.csv",
+    "stats histogram --input returns.csv --bins 0 --out err9.csv",
     "stats acf --input emp.csv --column s --max-lag 20 --out acf.csv",
     "stats volatility --input emp.csv --column p --increment 5 "
     "--window 120 --out volatility.csv",
