@@ -273,10 +273,8 @@ class RandomSource:
         """Standard normal via inverse CDF of the uniform stream."""
         u = self._gen.random(size)
         # Guard the measure-zero u == 0 (ndtri(0) = -inf).
-        tiny = np.finfo(float).tiny
-        if size is None:
-            return _ndtri1(u if u > 0.0 else tiny)
-        return _ndtri(np.where(u > 0.0, u, tiny))
+        z = _ndtri(np.where(u > 0.0, u, np.finfo(float).tiny))
+        return float(z) if size is None else z
 
     def exponential(self, size=None):
         """Unit-mean exponential draws, -log(1 - U) with U in [0, 1)."""
@@ -386,18 +384,11 @@ _NDTRI_Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0,
 
 def _polevl(x, coefs):
     """coefs[0]*x**n + ... + coefs[n] in Horner's order (Cephes polevl),
-    for a float or elementwise for an array."""
+    elementwise."""
     a = coefs[0]
     for c in coefs[1:]:
         a = a * x + c
     return a
-
-
-def _ndtri_central(d):
-    """The central branch's result at d = y - 1/2."""
-    d2 = d * d
-    return (d + d * (d2 * _polevl(d2, _NDTRI_P0)
-                     / _polevl(d2, _NDTRI_Q0))) * _NDTRI_S2PI
 
 
 def _ndtri_tail(x, log_x, far):
@@ -407,18 +398,6 @@ def _ndtri_tail(x, log_x, far):
     return x - log_x / x - z * _polevl(z, p) / _polevl(z, q)
 
 
-def _ndtri1(y: float) -> float:
-    """Cephes ndtri(y) for one float y in (0, 1), as scipy computes it."""
-    upper = y > 1.0 - _NDTRI_EXPM2
-    if upper:
-        y = 1.0 - y
-    if y > _NDTRI_EXPM2:
-        return _ndtri_central(y - 0.5)
-    x = math.sqrt(-2.0 * math.log(y))
-    x = _ndtri_tail(x, math.log(x), not x < 8.0)
-    return x if upper else -x
-
-
 def _log(x: np.ndarray) -> np.ndarray:
     """libm's log of each element (math.log): np.log may round a
     different way in the last bit."""
@@ -426,17 +405,21 @@ def _log(x: np.ndarray) -> np.ndarray:
 
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
-    """_ndtri1 of each element of a float array with values in (0, 1).
+    """Cephes ndtri of each element of a float array with values in (0, 1),
+    as scipy computes it.
 
-    numpy operations in _ndtri1's order give its bits, except for the
-    tails' two logs, which are math.log.  As 1 - (1 - exp(-2)) is exp(-2)
-    in floats, every u that _ndtri1 reflects lies in a tail, so the
-    central branch takes u itself; it runs on every element (it is finite
-    on [0, 1], and picking out the central ~73% would cost more), and
-    the tails are then overwritten.
+    numpy operations in Cephes' order give its bits, except for the
+    tails' two logs, which are math.log.  Cephes reflects y > 1 - exp(-2)
+    to 1 - y; as 1 - (1 - exp(-2)) is exp(-2) in floats, every reflected
+    u lies in a tail, so the central branch takes u itself.  It runs on
+    every element (it is finite on [0, 1], and picking out the central
+    ~73% would cost more), and the tails are then overwritten.
     """
     flat = u.ravel()
-    out = _ndtri_central(flat - 0.5)
+    d = flat - 0.5
+    d2 = d * d
+    out = (d + d * (d2 * _polevl(d2, _NDTRI_P0)
+                    / _polevl(d2, _NDTRI_Q0))) * _NDTRI_S2PI
     tail = np.flatnonzero((flat <= _NDTRI_EXPM2)
                           | (flat > 1.0 - _NDTRI_EXPM2))
     u_t = flat[tail]

@@ -304,8 +304,8 @@ def _runs(config, horizon, rngs, init, sample_step):
     floats depend on (S, H) alone) set up once for all of them."""
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
-    if sample_step is not None and not sample_step > 0:
-        raise ValueError("sample_step must be positive")
+    if sample_step is not None and not 0 < sample_step < math.inf:
+        raise ValueError("sample_step must be positive and finite")
     if init is None:
         init = SpinMacroState(S=config.N_s, H=config.N_h)
     _check_state(init, config)
@@ -329,9 +329,11 @@ def _runs(config, horizon, rngs, init, sample_step):
         r123 = r12 + r3
         total = r123 + r4
         if not 0.0 < total < math.inf:
-            raise ValueError(f"total flip rate {total} at t = {t} is not "
-                             "positive and finite (check the fields b_s, "
-                             "b_h)")
+            raise ValueError(f"total flip rate {total} at t = {t} in state "
+                             f"(S, H) = ({S}, {H}) is not positive and "
+                             "finite: check w_s, w_h, theta, the couplings "
+                             "J11, J12, J21, J22, mu_s, mu_h and the fields "
+                             "b_s, b_h")
         return r1, r12, r123, total
 
     cache = None if callable(config.b_s) or callable(config.b_h) else {}
@@ -450,10 +452,9 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     mean_s = np.mean([r.s for r in runs], axis=0)
     mean_h = np.mean([r.h for r in runs], axis=0)
 
-    _, ode = _rk45(lambda t, y: _meanfield_rhs(t, y, config),
-                   (0.0, max(float(horizon), float(times[-1]))),
-                   [runs[0].s[0], runs[0].h[0]], times,
-                   rtol=1e-10, atol=1e-12)
+    ode = _rk45(lambda t, y: _meanfield_rhs(t, y, config),
+                (0.0, max(float(horizon), float(times[-1]))),
+                [runs[0].s[0], runs[0].h[0]], times)
     dev_s = mean_s - ode[0]
     dev_h = mean_h - ode[1]
     return MeanFieldReport(
@@ -492,8 +493,10 @@ _RK45_P = np.array([
      701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
-# Step-size control: safety factor, least and greatest step change, and
-# the error exponent -1/(error estimator order + 1).
+# Step-size control: the tolerances, safety factor, least and greatest
+# step change, and the error exponent -1/(error estimator order + 1).
+_RK45_RTOL = 1e-10
+_RK45_ATOL = 1e-12
 _RK45_SAFETY = 0.9
 _RK45_MIN_FACTOR = 0.2
 _RK45_MAX_FACTOR = 10
@@ -504,16 +507,16 @@ def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _rk45(fun, t_span, y0, t_eval, rtol, atol):
-    """(t_eval, y) of y' = fun(t, y) from y(t0) = y0 over t_span = (t0,
-    t1), t0 < t1, with y[:, k] the solution at the sorted t_eval[k] in
-    [t0, t1].
+def _rk45(fun, t_span, y0, t_eval):
+    """y of y' = fun(t, y) from y(t0) = y0 over t_span = (t0, t1), t0 < t1,
+    with y[:, k] the solution at the sorted t_eval[k] in [t0, t1].
 
     A port of the path scipy.integrate.solve_ivp takes with method
     "RK45", a t_eval and no events: select_initial_step, rk_step, the
     error norm and step-size control of RungeKutta._step_impl, and
     RkDenseOutput at each step's share of t_eval.  The numpy calls and
-    their order are scipy's, so t and y equal solve_ivp's bit for bit.
+    their order are scipy's, so y equals solve_ivp's bit for bit at
+    rtol = _RK45_RTOL and atol = _RK45_ATOL.
     Raises RuntimeError when the step size falls below ten spacings of
     the floats at t.
     """
@@ -527,7 +530,7 @@ def _rk45(fun, t_span, y0, t_eval, rtol, atol):
     # select_initial_step, for direction +1 and no max_step
     f = f_of(t, y)
     interval_length = abs(t_bound - t)
-    scale = atol + np.abs(y) * rtol
+    scale = _RK45_ATOL + np.abs(y) * _RK45_RTOL
     d0 = _rms(y / scale)
     d1 = _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -541,7 +544,7 @@ def _rk45(fun, t_span, y0, t_eval, rtol, atol):
     h_abs = min(100 * h0, h1, interval_length)
 
     K = np.empty((_RK45_A.shape[0] + 1, y.size))
-    ts, ys = [], []
+    ys = []
     i_eval = 0
     while True:
         min_step = 10 * np.abs(np.nextafter(t, np.inf) - t)
@@ -567,7 +570,8 @@ def _rk45(fun, t_span, y0, t_eval, rtol, atol):
             y_new = y + h * np.dot(K[:-1].T, _RK45_B)
             f_new = f_of(t + h, y_new)
             K[-1] = f_new
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+            scale = (_RK45_ATOL
+                     + np.maximum(np.abs(y), np.abs(y_new)) * _RK45_RTOL)
             error_norm = _rms(np.dot(K.T, _RK45_E) * h / scale)
             if error_norm < 1:
                 if error_norm == 0:
@@ -594,8 +598,7 @@ def _rk45(fun, t_span, y0, t_eval, rtol, atol):
                            axis=0)
             y_step = h * np.dot(Q, p)
             y_step += y_old[:, None]
-            ts.append(t_step)
             ys.append(y_step)
             i_eval = i_new
         if t - t_bound >= 0:
-            return np.hstack(ts), np.hstack(ys)
+            return np.hstack(ys)

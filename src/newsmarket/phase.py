@@ -205,8 +205,10 @@ def delta_critical(beta1: float, beta2: float) -> float:
     """
     _check_fold_domain(beta1, beta2)
     q = math.sqrt((beta1 - 1.0) / beta1)
-    arg = (0.5 * math.log((1.0 - q) / (1.0 + q))
-           + math.sqrt(beta1 * (beta1 - 1.0))) / beta2
+    # 0.5*log((1 - q)/(1 + q)) without forming 1 - q, which cancels and
+    # rounds to 0 for beta1 above about 1e16: (1 - q)*(1 + q) = 1/beta1
+    arg = (math.sqrt(beta1 * (beta1 - 1.0)) - math.log1p(q)
+           - 0.5 * math.log(beta1)) / beta2
     if not -1.0 < arg < 1.0:
         raise ValueError(f"critical tilt {arg:.6g} outside (-1, 1); "
                          "no finite bias angle exists")

@@ -115,9 +115,8 @@ def initial_sentiment(beta1: float, beta2: float, h0: float) -> float:
     The standard starting point for integrations: the optimistic branch
     when it exists, the single root otherwise.
     """
-    roots = equilibria_1d(beta1, beta2 * h0)
-    stable = [r for r, kind in roots if kind == STABLE]
-    return max(stable) if stable else roots[-1][0]
+    return max(r for r, kind in equilibria_1d(beta1, beta2 * h0)
+               if kind == STABLE)
 
 
 def iterative_theta_fit(H: Series, p_obs: Series, params: ModelParams,

@@ -115,6 +115,17 @@ def test_delta_critical_errors():
         delta_critical(2.0, 0.01)
 
 
+def test_delta_critical_at_a_huge_beta1():
+    # q = sqrt((beta1 - 1)/beta1) rounds to 1 above beta1 of about 1e16,
+    # where log((1 - q)/(1 + q)) failed as "math domain error"
+    with pytest.raises(ValueError, match="no finite bias"):
+        delta_critical(1e17, 1.0)
+    # the tilt is (beta1 - 1/2 - log(2) - log(beta1)/2)/beta2 + O(1/beta1),
+    # 0.1 - 2.1e-17 here
+    assert delta_critical(1e17, 1e18) == pytest.approx(math.atanh(0.1),
+                                                       rel=1e-15)
+
+
 def test_delta_critical_asymptotic_near_transition():
     exact = delta_critical(1.01, 0.55)
     approx = delta_critical_asymptotic(1.01, 0.55)

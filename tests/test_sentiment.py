@@ -277,6 +277,21 @@ def test_equilibria_roots_are_true_roots(beta1, c):
         assert [k for _, k in roots] == [STABLE, UNSTABLE, STABLE]
 
 
+@given(beta1=st.one_of(st.floats(min_value=0.0, max_value=3.0),
+                      st.floats(min_value=0.0, max_value=1e308)),
+       c=st.one_of(st.floats(min_value=-2.0, max_value=2.0),
+                   st.floats(min_value=-1e308, max_value=1e308)),
+       near_fold=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_equilibria_always_hold_a_stable_root(beta1, c, near_fold):
+    # the gap is >= 0 at s = -1 and <= 0 at s = 1, so an end is a root or
+    # the first sign change falls; pricing.initial_sentiment relies on it
+    if near_fold:
+        # within 20 of +-beta1, where a fold can sit near s = -+1
+        c = math.copysign(beta1 - c % 20.0, c)
+    assert STABLE in [k for _, k in equilibria_1d(beta1, c)]
+
+
 def test_equilibria_at_the_critical_point_is_one_stable_root():
     # the bottom of the quartic well at beta1 = 1 has a slope that rounds
     # to 0.0, which a slope test read as unstable

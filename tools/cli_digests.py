@@ -115,6 +115,10 @@ CALLS = [
     "--seed 21 --out meanfield.txt",
     "glauber trajectory --params spins.txt --horizon 20 "
     "--realizations 1000000000000000 --seed 3 --out err8",
+    "glauber trajectory --params spins.txt --horizon 2 --sample-step inf "
+    "--out err10.csv",
+    "glauber meanfield --params spins.txt --horizon 2 --sample-step inf "
+    "--out err11.txt",
     "stats returns --input emp.csv --column p --out returns.csv",
     "stats moments --input returns.csv --normalize --out moments.txt",
     "stats histogram --input returns.csv --bins 20 --out histogram.csv",
