@@ -29,7 +29,9 @@ and held until the next event, an approximation of the time-varying chain
 (close while the fields vary slowly against the waiting times).  Constant
 fields make the rates a function of (S, H) alone, so each visited state's
 rates are computed once per call, for all its realizations, and looked up
-afterwards; with callable fields they are computed at every event.
+afterwards in a table keyed by the macrostate index
+k = (S + N_s)*(2*N_h + 1) + (H + N_h), the one integer the event loop
+carries; with callable fields they are computed at every event.
 
 simulate_glauber consumes its RandomSource in blocks of uniforms, each
 block bitwise equal to the same number of scalar rng.exponential() and
@@ -258,20 +260,6 @@ class GlauberTrajectory:
     config: SpinSystemConfig
 
 
-def _block_draws(rng: RandomSource):
-    """Endless (waiting time, event uniform) pairs: the unit exponential
-    and the uniform that rng.exponential() and rng.uniform() would return
-    if called alternately, drawn _BLOCK pairs at a time.
-
-    np.log1p on the array gives the same bits as the scalar np.log1p in
-    rng.exponential(); math.log1p can differ in the last bit.
-    """
-    while True:
-        block = rng.uniform(2 * _BLOCK)
-        yield from zip((-np.log1p(-block[0::2])).tolist(),
-                       block[1::2].tolist())
-
-
 def simulate_glauber(config: SpinSystemConfig, horizon: float,
                      rng: RandomSource,
                      init: SpinMacroState | None = None,
@@ -281,15 +269,16 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     Waiting times are exponential in the total rate; the event is chosen
     proportionally to the four directional rates.  init defaults to the
     all-up state (S = N_s, H = N_h).  With sample_step the trajectory is
-    recorded on the uniform grid k*sample_step (state held between
+    recorded on the uniform grid i*sample_step (state held between
     events); otherwise every event is recorded.
 
     rng is consumed in blocks of uniform draws, so its state after the
     call is unspecified: pass a stream that nothing else draws from.
 
     With constant b_s and b_h the rates of each visited (S, H) are
-    computed on its first visit and looked up on later ones (the table
-    holds at most _RATE_CACHE states and is emptied when full); the
+    computed on its first visit and looked up on later ones, in a table
+    keyed by the macrostate index k = (S + N_s)*(2*N_h + 1) + (H + N_h)
+    (it holds at most _RATE_CACHE states and is emptied when full); the
     stored values are the floats the first visit computed, so the
     trajectory is the same bit for bit.  Callable fields skip the table;
     they are read at the last event time and held until the next event,
@@ -322,7 +311,21 @@ def _runs(config, horizon, rngs, init, sample_step):
         # loop stops it for an infinite waiting time too
         grid_t = grid.tolist() + [math.inf]
 
-    def partial_sums(S, H, t):
+    # The macrostate travels as one index k = (S + N_s)*stride + (H + N_h)
+    # with stride = 2*N_h + 1: an S flip moves k by 2*stride, an H flip by
+    # 2, and the rate table is keyed by k.  k is a Python int, as numpy
+    # integers would wrap once it passes 2**63; past that, the trajectory
+    # decodes it from an object array.
+    ns, nh = int(config.N_s), int(config.N_h)
+    stride = 2 * nh + 1
+    s_step = 2 * stride
+    k0 = (int(init.S) + ns) * stride + (int(init.H) + nh)
+    k_max = 2 * ns * stride + 2 * nh
+    index_type = np.int64 if k_max <= np.iinfo(np.int64).max else object
+
+    def partial_sums(k, t):
+        S = k // stride - ns
+        H = k % stride - nh
         r1, r2, r3, r4 = rates(S, H, _eval_field(config.b_s, t),
                                _eval_field(config.b_h, t))
         r12 = r1 + r2
@@ -338,57 +341,66 @@ def _runs(config, horizon, rngs, init, sample_step):
 
     cache = None if callable(config.b_s) or callable(config.b_h) else {}
     for rng in rngs:
-        S, H, t, n_events = init.S, init.H, 0.0, 0
-        ts, ss, hs = [0.0], [S], [H]
+        k, t, n_events = k0, 0.0, 0
+        ts, ks = [0.0], [k]
         if sample_step is not None:
             next_t = grid_t[1]
-        for wait, pick in _block_draws(rng):
-            if cache is None:
-                r1, r12, r123, total = partial_sums(S, H, t)
+        while True:
+            # _BLOCK (waiting time, event uniform) pairs: the unit
+            # exponential and the uniform that rng.exponential() and
+            # rng.uniform() would return if called alternately.  np.log1p
+            # on the array gives the same bits as the scalar np.log1p in
+            # rng.exponential(); math.log1p can differ in the last bit.
+            block = rng.uniform(2 * _BLOCK)
+            for wait, pick in zip((-np.log1p(-block[0::2])).tolist(),
+                                  block[1::2].tolist()):
+                if cache is None:
+                    r1, r12, r123, total = partial_sums(k, t)
+                else:
+                    try:
+                        r1, r12, r123, total = cache[k]
+                    except KeyError:
+                        if len(cache) >= _RATE_CACHE:
+                            cache.clear()
+                        r1, r12, r123, total = cache[k] = partial_sums(k, t)
+                t_new = t + wait / total
+                if sample_step is not None:
+                    while next_t <= t_new and len(ks) < n_samples:
+                        ks.append(k)
+                        next_t = grid_t[len(ks)]
+                if t_new > horizon:
+                    break
+                u = pick * total
+                if u < r1:
+                    k += s_step
+                elif u < r12:
+                    k -= s_step
+                elif u < r123:
+                    k += 2
+                else:
+                    k -= 2
+                t = t_new
+                n_events += 1
+                if sample_step is None:
+                    ts.append(t)
+                    ks.append(k)
             else:
-                try:
-                    r1, r12, r123, total = cache[S, H]
-                except KeyError:
-                    if len(cache) >= _RATE_CACHE:
-                        cache.clear()
-                    r1, r12, r123, total = cache[S, H] = partial_sums(
-                        S, H, t)
-            t_new = t + wait / total
-            if sample_step is not None:
-                while next_t <= t_new and len(ss) < n_samples:
-                    ss.append(S)
-                    hs.append(H)
-                    next_t = grid_t[len(ss)]
-            if t_new > horizon:
-                break
-            u = pick * total
-            if u < r1:
-                S += 2
-            elif u < r12:
-                S -= 2
-            elif u < r123:
-                H += 2
-            else:
-                H -= 2
-            t = t_new
-            n_events += 1
-            if sample_step is None:
-                ts.append(t)
-                ss.append(S)
-                hs.append(H)
+                continue  # the block is used up: draw the next one
+            break
 
         if sample_step is None:
             times = np.asarray(ts)
         else:
             times = grid.copy()  # no run shares its times with another
-            # k*sample_step can round just above the horizon, and past the
+            # i*sample_step can round just above the horizon, and past the
             # last waiting time; that point holds the final state
-            ss.extend([S] * (n_samples - len(ss)))
-            hs.extend([H] * (n_samples - len(hs)))
-        yield GlauberTrajectory(times=times,
-                                s=np.asarray(ss, dtype=float) / config.N_s,
-                                h=np.asarray(hs, dtype=float) / config.N_h,
-                                n_events=n_events, config=config)
+            ks.extend([k] * (n_samples - len(ks)))
+        idx = np.array(ks, dtype=index_type)
+        yield GlauberTrajectory(
+            times=times,
+            s=(idx // stride - ns).astype(float) / ns,
+            h=(idx % stride - nh).astype(float) / nh,
+            n_events=n_events, config=config)
 
 
 def _meanfield_rhs(t, y, config):

@@ -75,6 +75,8 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     out = np.empty(len(hvals))
     out[0] = s = float(s0)
     dt = 1.0 / substeps
+    half = 0.5 * dt
+    steps = range(substeps)
     lim = 1.0 + _BOUND_SLACK
     tanh = math.tanh
     # Inlined rather than routed through market._rk4_step: the 1-D system
@@ -82,11 +84,11 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     # once per theta candidate.
     for d, hv in enumerate(hvals[:-1].tolist()):
         drive = b2 * hv
-        for _ in range(substeps):
+        for _ in steps:
             k1 = w_s * (tanh(b1 * s + drive) - s)
-            y = s + 0.5 * dt * k1
+            y = s + half * k1
             k2 = w_s * (tanh(b1 * y + drive) - y)
-            y = s + 0.5 * dt * k2
+            y = s + half * k2
             k3 = w_s * (tanh(b1 * y + drive) - y)
             y = s + dt * k3
             k4 = w_s * (tanh(b1 * y + drive) - y)

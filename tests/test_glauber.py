@@ -1,6 +1,7 @@
 """Exact spin-flip kinetics: rates, Gibbs equilibrium, trajectories,
 and the deterministic (rate-equation) limit."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -305,6 +306,57 @@ def test_event_loop_matches_scalar_draws_bitwise(config, horizon,
     assert np.array_equal(run.times, times)
     assert np.array_equal(run.s, s)
     assert np.array_equal(run.h, h)
+
+
+def assert_run_is_scalar_loop(config, horizon, seed, init, sample_step):
+    run = simulate_glauber(config, horizon, RandomSource(seed), init,
+                           sample_step)
+    times, s, h, n_events = scalar_event_loop(config, horizon,
+                                              RandomSource(seed), init,
+                                              sample_step)
+    assert run.n_events == n_events
+    assert run.times.tobytes() == times.tobytes()
+    assert run.s.tobytes() == s.tobytes()
+    assert run.h.tobytes() == h.tobytes()
+    return run
+
+
+@given(config=st.sampled_from([DB, DRIVEN, LARGE]),
+       horizon=st.sampled_from([0.05, 3.0, 300.0]),
+       sample_step=st.sampled_from([None, 0.7]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1),
+       start=st.sampled_from(["all-up", "zero"]))
+@settings(max_examples=20, deadline=None)
+def test_event_loop_takes_numpy_integer_sizes_and_states(
+        config, horizon, sample_step, seed, start):
+    config = dataclasses.replace(config, N_s=np.int64(config.N_s),
+                                 N_h=np.int64(config.N_h))
+    init = (SpinMacroState(config.N_s, config.N_h) if start == "all-up"
+            else SpinMacroState(config.N_s % 2, config.N_h % 2))
+    assert isinstance(init.S, np.int64) and isinstance(init.H, np.int64)
+    assert_run_is_scalar_loop(config, horizon, seed, init, sample_step)
+
+
+@pytest.mark.parametrize("size", [int, np.int64])
+@pytest.mark.parametrize("shape", [(2**40, 2**40), (2, 2**61)])
+@pytest.mark.parametrize("start", ["all-up", "zero"])
+@pytest.mark.parametrize("gridded", [False, True])
+def test_event_loop_with_a_state_index_beyond_int64(size, shape, start,
+                                                    gridded):
+    # the index (S + N_s)*(2*N_h + 1) + (H + N_h) reaches about 2**83 in
+    # the first shape and lies between 2**63 and 2**64 in the second, with
+    # H below zero from the zero start: neither the loop nor the decoding
+    # may wrap, whatever type the sizes and the state have
+    n_s, n_h = map(size, shape)
+    config = SpinSystemConfig(N_s=n_s, N_h=n_h, J11=1.1, J12=0.5,
+                              J21=0.5 * shape[0] / shape[1], J22=0.3,
+                              mu_s=0.7, theta=0.9, b_s=0.2)
+    init = (SpinMacroState(n_s, n_h) if start == "all-up"
+            else SpinMacroState(size(0), size(0)))
+    horizon = 2000.0 / sum(shape)
+    run = assert_run_is_scalar_loop(config, horizon, 5, init,
+                                    horizon / 100 if gridded else None)
+    assert 100 < run.n_events < 2000
 
 
 @given(config=st.sampled_from([DB, DRIVEN, LARGE]),

@@ -55,6 +55,19 @@ w_s = 1.0
 w_h = 1.0
 """
 
+# The criterion-4 shape: macrostate indices up to about 4*10^7, against
+# about 10^3 in SPINS.
+BIG_SPINS = """\
+N_s = 10000
+N_h = 1000
+J11 = 1.1
+J12 = 0.55
+J21 = 5.5
+theta = 1.0
+w_s = 0.04
+w_h = 0.4
+"""
+
 
 def _csv(name: str, values, header: bool = True) -> str:
     rows = [f"{i},{v!r}" for i, v in enumerate(values)]
@@ -68,6 +81,7 @@ INPUTS = {
     "critical.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1.0"),
     "huge_beta1.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1e100"),
     "spins.txt": SPINS,
+    "big_spins.txt": BIG_SPINS,
     "H.csv": _csv("H", [0.4 * math.sin(2 * math.pi * d / 250.0)
                         + 0.1 * math.sin(2 * math.pi * d / 17.0)
                         for d in range(600)]),
@@ -113,6 +127,10 @@ CALLS = [
     "--realizations 2 --seed 4 --out trajectories",
     "glauber meanfield --params spins.txt --horizon 20 --realizations 5 "
     "--seed 21 --out meanfield.txt",
+    "glauber meanfield --params big_spins.txt --horizon 20 --realizations 4 "
+    "--seed 5 --out meanfield_big.txt",
+    "glauber trajectory --params big_spins.txt --horizon 5 --init-S 0 "
+    "--init-H 0 --realizations 3 --seed 6 --out trajectories_big",
     "glauber trajectory --params spins.txt --horizon 20 "
     "--realizations 1000000000000000 --seed 3 --out err8",
     "glauber trajectory --params spins.txt --horizon 2 --sample-step inf "
