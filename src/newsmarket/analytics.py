@@ -148,8 +148,6 @@ def rolling_volatility(x: Series, increment_days: int,
     """
     inc = _lag_samples(x, increment_days, "increment_days")
     win = _lag_samples(x, window_days, "window_days")
-    if win <= inc:
-        raise ValueError("window must exceed the increment")
     m = win // inc
     if m < 2:
         raise ValueError("window must contain at least two increments")

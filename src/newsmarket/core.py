@@ -158,6 +158,22 @@ def _size(name: str, value, least: int = 1) -> int:
                    f"{name} = {value} is too large for an array")
 
 
+# The work budget of _work, in elementary steps.
+_MAX_WORK = 10**9
+
+
+def _work(work, expr: str) -> None:
+    """Reject a call whose work, the `expr` of the flags or fields that set
+    it, exceeds _MAX_WORK = 10**9 elementary steps: the RK4 substeps of one
+    fixed-step realization (days * substeps), or the bound on a Glauber
+    call's expected events (flip rate bound * horizon * realizations).
+    A loop that large would run for hours (a count such as substeps =
+    10**15 for ever); it raises ValueError naming expr instead."""
+    if not work <= _MAX_WORK:
+        raise ValueError(f"{expr} = {work:.4g} exceeds the work budget of "
+                         f"{_MAX_WORK:.0e} steps")
+
+
 def _div_cosh2(a: float, x: float) -> float:
     """a / cosh(x)**2, that is a*sech(x)**2, written so that it cannot
     overflow: where cosh(x)**2 would (|x| above about 355) the quotient

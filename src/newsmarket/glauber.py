@@ -46,10 +46,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
-from .core import RandomSource, _count, _length, _size
+from .core import RandomSource, _count, _length, _size, _work
 
 __all__ = [
     "SpinSystemConfig",
@@ -75,6 +76,16 @@ _RATE_CACHE = 4096
 
 def _eval_field(field, t):
     return field(t) if callable(field) else field
+
+
+def _pairs(rng):
+    """_BLOCK (waiting time, event uniform) pairs: the unit exponential and
+    the uniform that rng.exponential() and rng.uniform() would return if
+    called alternately.  np.log1p on the array gives the same bits as the
+    scalar np.log1p in rng.exponential(); math.log1p can differ in the last
+    bit."""
+    block = rng.uniform(2 * _BLOCK)
+    return zip((-np.log1p(-block[0::2])).tolist(), block[1::2].tolist())
 
 
 @dataclass(frozen=True)
@@ -274,6 +285,9 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
 
     rng is consumed in blocks of uniform draws, so its state after the
     call is unspecified: pass a stream that nothing else draws from.
+    The bound on the expected events, (w_s*N_s + w_h*N_h)*horizon, may
+    not exceed core._MAX_WORK = 10**9 (summed over the realizations of
+    meanfield_compare).
 
     With constant b_s and b_h the rates of each visited (S, H) are
     computed on its first visit and looked up on later ones, in a table
@@ -298,6 +312,11 @@ def _runs(config, horizon, rngs, init, sample_step):
     if init is None:
         init = SpinMacroState(S=config.N_s, H=config.N_h)
     _check_state(init, config)
+    # the total flip rate is at most w_s*N_s + w_h*N_h
+    flips = config.w_s * config.N_s + config.w_h * config.N_h
+    _work(flips * horizon * len(rngs),
+          f"(w_s*N_s + w_h*N_h) * horizon * realizations = {flips:.6g} * "
+          f"{horizon:.6g} * {len(rngs)}")
 
     rates = _make_rates(config)
     if sample_step is not None:
@@ -307,9 +326,8 @@ def _runs(config, horizon, rngs, init, sample_step):
                             f"{ratio!r} points does not fit in an "
                             "array") + 1
         grid = sample_step * np.arange(n_samples)
-        # inf follows the last grid point; the length check in the hold
-        # loop stops it for an infinite waiting time too
-        grid_t = grid.tolist() + [math.inf]
+        # nan <= t is never true, so the hold stops after the last point
+        grid_t = grid.tolist() + [math.nan]
 
     # The macrostate travels as one index k = (S + N_s)*stride + (H + N_h)
     # with stride = 2*N_h + 1: an S flip moves k by 2*stride, an H flip by
@@ -343,50 +361,37 @@ def _runs(config, horizon, rngs, init, sample_step):
     for rng in rngs:
         k, t, n_events = k0, 0.0, 0
         ts, ks = [0.0], [k]
-        if sample_step is not None:
-            next_t = grid_t[1]
-        while True:
-            # _BLOCK (waiting time, event uniform) pairs: the unit
-            # exponential and the uniform that rng.exponential() and
-            # rng.uniform() would return if called alternately.  np.log1p
-            # on the array gives the same bits as the scalar np.log1p in
-            # rng.exponential(); math.log1p can differ in the last bit.
-            block = rng.uniform(2 * _BLOCK)
-            for wait, pick in zip((-np.log1p(-block[0::2])).tolist(),
-                                  block[1::2].tolist()):
-                if cache is None:
-                    r1, r12, r123, total = partial_sums(k, t)
-                else:
-                    try:
-                        r1, r12, r123, total = cache[k]
-                    except KeyError:
-                        if len(cache) >= _RATE_CACHE:
-                            cache.clear()
-                        r1, r12, r123, total = cache[k] = partial_sums(k, t)
-                t_new = t + wait / total
-                if sample_step is not None:
-                    while next_t <= t_new and len(ks) < n_samples:
-                        ks.append(k)
-                        next_t = grid_t[len(ks)]
-                if t_new > horizon:
-                    break
-                u = pick * total
-                if u < r1:
-                    k += s_step
-                elif u < r12:
-                    k -= s_step
-                elif u < r123:
-                    k += 2
-                else:
-                    k -= 2
-                t = t_new
-                n_events += 1
-                if sample_step is None:
-                    ts.append(t)
-                    ks.append(k)
+        next_t = math.nan if sample_step is None else grid_t[1]
+        for wait, pick in chain.from_iterable(map(_pairs, repeat(rng))):
+            if cache is None:
+                r1, r12, r123, total = partial_sums(k, t)
             else:
-                continue  # the block is used up: draw the next one
-            break
+                try:
+                    r1, r12, r123, total = cache[k]
+                except KeyError:
+                    if len(cache) >= _RATE_CACHE:
+                        cache.clear()
+                    r1, r12, r123, total = cache[k] = partial_sums(k, t)
+            t_new = t + wait / total
+            while next_t <= t_new:
+                ks.append(k)
+                next_t = grid_t[len(ks)]
+            if t_new > horizon:
+                break
+            u = pick * total
+            if u < r1:
+                k += s_step
+            elif u < r12:
+                k -= s_step
+            elif u < r123:
+                k += 2
+            else:
+                k -= 2
+            t = t_new
+            n_events += 1
+            if sample_step is None:
+                ts.append(t)
+                ks.append(k)
 
         if sample_step is None:
             times = np.asarray(ts)
@@ -412,7 +417,7 @@ def _meanfield_rhs(t, y, config):
         beta * (config.J11 * s + config.J12 * h + config.mu_s * bs))
     dh = -config.w_h * h + config.w_h * math.tanh(
         beta * (config.J21 * s + config.J22 * h + config.mu_h * bh))
-    return [ds, dh]
+    return np.array([ds, dh])
 
 
 @dataclass(frozen=True)
@@ -513,6 +518,8 @@ _RK45_SAFETY = 0.9
 _RK45_MIN_FACTOR = 0.2
 _RK45_MAX_FACTOR = 10
 _RK45_EXPONENT = -1 / 5
+# The most right-hand-side calls one _rk45 solve may make.
+_RK45_MAX_CALLS = 10**6
 
 
 def _rms(x):
@@ -521,7 +528,8 @@ def _rms(x):
 
 def _rk45(fun, t_span, y0, t_eval):
     """y of y' = fun(t, y) from y(t0) = y0 over t_span = (t0, t1), t0 < t1,
-    with y[:, k] the solution at the sorted t_eval[k] in [t0, t1].
+    with y[:, k] the solution at the sorted t_eval[k] in [t0, t1]; fun
+    returns y' as a float array.
 
     A port of the path scipy.integrate.solve_ivp takes with method
     "RK45", a t_eval and no events: select_initial_step, rk_step, the
@@ -530,30 +538,29 @@ def _rk45(fun, t_span, y0, t_eval):
     their order are scipy's, so y equals solve_ivp's bit for bit at
     rtol = _RK45_RTOL and atol = _RK45_ATOL.
     Raises RuntimeError when the step size falls below ten spacings of
-    the floats at t.
+    the floats at t, or when a step would take fun past _RK45_MAX_CALLS
+    = 10**6 calls (a stalled solve, which solve_ivp would continue).
     """
     t, t_bound = map(float, t_span)
     t_eval = np.asarray(t_eval)
     y = np.asarray(y0).astype(float, copy=False)
 
-    def f_of(t, y):
-        return np.asarray(fun(t, y), dtype=float)
-
     # select_initial_step, for direction +1 and no max_step
-    f = f_of(t, y)
+    f = fun(t, y)
     interval_length = abs(t_bound - t)
     scale = _RK45_ATOL + np.abs(y) * _RK45_RTOL
     d0 = _rms(y / scale)
     d1 = _rms(f / scale)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, interval_length)
-    f1 = f_of(t + h0, y + h0 * f)
+    f1 = fun(t + h0, y + h0 * f)
     d2 = _rms((f1 - f) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** (1 / 5)
     h_abs = min(100 * h0, h1, interval_length)
+    calls = 2
 
     K = np.empty((_RK45_A.shape[0] + 1, y.size))
     ys = []
@@ -568,6 +575,14 @@ def _rk45(fun, t_span, y0, t_eval):
                 raise RuntimeError("rate-equation integration failed: "
                                    "Required step size is less than "
                                    "spacing between numbers.")
+            calls += 6
+            if calls > _RK45_MAX_CALLS:
+                raise RuntimeError(
+                    "rate-equation integration used up its "
+                    f"{_RK45_MAX_CALLS:.0e} right-hand-side calls at t = "
+                    f"{t} of {t_bound}: check w_s, w_h, theta, the "
+                    "couplings J11, J12, J21, J22, mu_s, mu_h and the "
+                    "fields b_s, b_h")
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound
@@ -578,9 +593,9 @@ def _rk45(fun, t_span, y0, t_eval):
             for s, (a, c) in enumerate(zip(_RK45_A[1:], _RK45_C[1:]),
                                        start=1):
                 dy = np.dot(K[:s].T, a[:s]) * h
-                K[s] = f_of(t + c * h, y + dy)
+                K[s] = fun(t + c * h, y + dy)
             y_new = y + h * np.dot(K[:-1].T, _RK45_B)
-            f_new = f_of(t + h, y_new)
+            f_new = fun(t + h, y_new)
             K[-1] = f_new
             scale = (_RK45_ATOL
                      + np.maximum(np.abs(y), np.abs(y_new)) * _RK45_RTOL)

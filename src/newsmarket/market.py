@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
-                   RandomSource, Series, _count, _size, validate)
+                   RandomSource, Series, _count, _size, _work, validate)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -198,15 +198,17 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     overrides beta1 daily as 1/theta(day); beta2 is never rescaled.  beta1_shift is added
     to whatever beta1 is in force (a documented variant of the
     temperature-modulated runs).  horizon_days and substeps must be
-    integers >= 1 (numpy integers included), the used part of
-    theta_profile positive and not subnormal, and the daily beta1 finite
-    and non-negative.
+    integers >= 1 (numpy integers included) with a product of at most
+    core._MAX_WORK = 10**9, the used part of theta_profile positive and
+    not subnormal, and the daily beta1 finite and non-negative.
     """
     validate(params)
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
     horizon_days = _size("horizon_days", horizon_days)
     substeps = _count("substeps", substeps)
+    _work(horizon_days * substeps,
+          f"horizon_days * substeps = {horizon_days} * {substeps}")
     if theta_profile is not None and theta_profile.step != 1.0:
         raise ValueError("theta_profile must be sampled daily (step = 1), "
                          f"got step {theta_profile.step}")

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
-                   _div_cosh2, _size, validate)
+                   _div_cosh2, _size, _work, validate)
 from .market import (SIMPLIFIED, _daily_path, _left_box, _make_drift,
                      _rk4_step)
 from .sentiment import equilibria_1d
@@ -278,13 +278,15 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     """Daily-sampled trajectory of the autonomous system from init.
 
     Returns (s, h) as daily Series of length days; sample 0 is the
-    initial state.  days and substeps are integers >= 1.  Uses the same
-    fixed-step scheme as the stochastic simulator, so a noise-free
-    simulation from the same state produces the identical path.
+    initial state.  days and substeps are integers >= 1 whose product is
+    at most core._MAX_WORK = 10**9.  Uses the same fixed-step scheme as
+    the stochastic simulator, so a noise-free simulation from the same
+    state produces the identical path.
     """
     validate(params)
     days = _size("days", days)
     substeps = _count("substeps", substeps)
+    _work(days * substeps, f"days * substeps = {days} * {substeps}")
     s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
                                np.zeros(days - 1), init.s, init.h, substeps,
                                SIMPLIFIED, reverse)
@@ -298,8 +300,9 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     """Hunt for a closed orbit of the autonomous system from init.
 
     Integrates up to max_days with substeps RK4 steps a day (both
-    integers >= 1; noise is ignored, the system is treated as autonomous
-    regardless of params.kappa) and watches crossings of the
+    integers >= 1, with a product of at most core._MAX_WORK = 10**9;
+    noise is ignored, the system is treated as autonomous regardless of
+    params.kappa) and watches crossings of the
     section h = tanh(delta) with ds/dt > 0.  Existence requires both
     successive-crossing agreement in s within tol and an s-extent of at
     least min_amplitude over the final loop (tol > 0, min_amplitude >= 0,
@@ -313,6 +316,8 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     validate(params)
     max_days = _count("max_days", max_days)
     substeps = _count("substeps", substeps)
+    _work(max_days * substeps,
+          f"max_days * substeps = {max_days} * {substeps}")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not min_amplitude >= 0.0:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _count,
-                   _size, validate)
+                   _size, _work, validate)
 
 __all__ = [
     "STABLE",
@@ -55,17 +55,19 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
                         substeps: int = 8) -> Series:
     """Integrate sentiment over the daily grid of H.
 
-    Classical 4-stage Runge-Kutta with `substeps` (an integer >= 1) steps
-    per day; H is held constant within each day (zero-order hold).  params
-    must pass validate and s0 lie in [-1, 1].  The drift points inward at
-    s = +-1 for any finite H, so the integrator asserts |s| <= 1 + 1e-9
-    and raises rather than clipping: a bound violation (or a NaN state)
-    means an integrator failure, not a modeling outcome.
+    Classical 4-stage Runge-Kutta with `substeps` (an integer >= 1, at
+    most core._MAX_WORK = 10**9 over the len(H) days) steps per day; H is
+    held constant within each day (zero-order hold).  params must pass
+    validate and s0 lie in [-1, 1].  The drift points inward at s = +-1
+    for any finite H, so the integrator asserts |s| <= 1 + 1e-9 and raises
+    rather than clipping: a bound violation (or a NaN state) means an
+    integrator failure, not a modeling outcome.
     """
     validate(params)
     if H.step != 1.0:
         raise ValueError("H must be sampled daily (step = 1)")
     substeps = _count("substeps", substeps)
+    _work(len(H) * substeps, f"len(H) * substeps = {len(H)} * {substeps}")
     if not abs(s0) <= 1:
         raise ValueError("s0 must lie in [-1, 1]")
     w_s = params.w_s

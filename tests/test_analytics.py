@@ -230,10 +230,10 @@ def test_rolling_volatility_matches_direct_loop():
 
 def test_rolling_volatility_errors():
     x = Series(np.arange(100.0))
-    with pytest.raises(ValueError, match="window must exceed"):
-        rolling_volatility(x, 21, 21)
-    with pytest.raises(ValueError, match="two increments"):
-        rolling_volatility(x, 2, 3)
+    # a window no longer than the increment holds fewer than two of them
+    for inc, win in ((21, 21), (21, 5), (2, 3)):
+        with pytest.raises(ValueError, match="two increments"):
+            rolling_volatility(x, inc, win)
     with pytest.raises(ValueError, match="too short"):
         rolling_volatility(Series(np.arange(10.0)), 5, 10)
     # the rule is on the shift m * increment, not on whole-day spans

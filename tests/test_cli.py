@@ -283,6 +283,32 @@ for argv, name in {cases!r}:
         assert line.startswith(f"1 error: {name} = {big} is too large"), line
 
 
+@pytest.mark.parametrize("text, argv, named", [
+    (MAIN_TEXT, ["simulate-theory", "--horizon", "5", "--substeps",
+                 str(10 ** 15)],
+     ["horizon_days * substeps = 5 * 1000000000000000"]),
+    (SPIN_TEXT.replace("w_s = 1.0", "w_s = 1e15"),
+     ["glauber", "trajectory", "--horizon", "2", "--sample-step", "1"],
+     ["(w_s*N_s + w_h*N_h) * horizon * realizations = 5e+16 * 2 * 1"]),
+    (SPIN_TEXT.replace("J11 = 0.8", "J11 = -1e300"),
+     ["glauber", "meanfield", "--horizon", "2", "--realizations", "1"],
+     ["1e+06 right-hand-side calls at t = 0.69", "w_s", "theta", "J11"]),
+], ids=["substeps", "flip-rate", "rate-equation"])
+def test_calls_that_ran_for_ever_exit_by_name(tmp_path, text, argv, named):
+    # 10**15 RK4 substeps a day, about 10**17 flips, and a rate-equation
+    # solve whose steps shrank to 1e-10 each ran past a 30 s timeout
+    f = tmp_path / "in.txt"
+    f.write_text(text)
+    proc = subprocess.run(
+        [sys.executable, "-m", "newsmarket", *argv, "--params", str(f),
+         "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    for name in named:
+        assert name in proc.stderr
+
+
 @pytest.mark.parametrize("task", ["equilibria", "thresholds"])
 @pytest.mark.parametrize("field", ["beta1", "delta"])
 def test_analyze_with_a_huge_field_names_it_or_succeeds(tmp_path, capsys,

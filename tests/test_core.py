@@ -17,19 +17,22 @@ from newsmarket.core import (
     ModelParams,
     RandomSource,
     Series,
+    _MAX_WORK,
     _NDTRI_EXPM2,
     _ROOT_XTOL,
     _brentq,
     _div_cosh2,
     _load_record,
     _ndtri,
+    _work,
     load_params,
     parse_kv_file,
     read_series,
     validate,
     write_series,
 )
-from newsmarket.glauber import SpinSystemConfig, meanfield_compare
+from newsmarket.glauber import (SpinSystemConfig, meanfield_compare,
+                                simulate_glauber)
 from newsmarket.market import ensemble, simulate
 from newsmarket.phase import (bifurcation_sweep, detect_limit_cycle,
                               integrate_autonomous)
@@ -209,6 +212,47 @@ def test_counts_too_large_for_an_array_are_named(call, kwargs, name):
     with pytest.raises(ValueError,
                        match=re.escape(f"{name} = {10 ** 15} is too large")):
         call(**{**kwargs, name: 10 ** 15})
+
+
+# Every call whose arguments set the length of its loop: 10**15 substeps
+# or about 10**15 flips used to run for ever.  A meanfield horizon of
+# 10**15 is refused for its work before its grid is sized.
+_HUGE = 10 ** 15
+WORK_SITES = [
+    (simulate, {**_SIM, "substeps": _HUGE},
+     f"horizon_days * substeps = 5 * {_HUGE} = 5e+15"),
+    (integrate_autonomous, {**_AUTO, "substeps": _HUGE},
+     f"days * substeps = 5 * {_HUGE} = 5e+15"),
+    (detect_limit_cycle, {**_CYCLE, "substeps": _HUGE},
+     f"max_days * substeps = 5 * {_HUGE} = 5e+15"),
+    (integrate_sentiment, dict(H=Series(np.zeros(5)), s0=0.5, params=_QUIET,
+                               substeps=_HUGE),
+     f"len(H) * substeps = 5 * {_HUGE} = 5e+15"),
+    (simulate_glauber, dict(config=SpinSystemConfig(**_SPINS, w_s=1e15),
+                            horizon=2.0, rng=RandomSource(0)),
+     "(w_s*N_s + w_h*N_h) * horizon * realizations = 4e+15 * 2 * 1 = 8e+15"),
+    (meanfield_compare, dict(config=SpinSystemConfig(**_SPINS),
+                             horizon=1e15, n_realizations=3,
+                             rng=RandomSource(0)),
+     "(w_s*N_s + w_h*N_h) * horizon * realizations = 6 * 1e+15 * 3 = "
+     "1.8e+16"),
+]
+
+
+@pytest.mark.parametrize("call, kwargs, expr", WORK_SITES, ids=[
+    call.__name__ for call, _, _ in WORK_SITES])
+def test_work_past_the_budget_is_refused_by_name(call, kwargs, expr):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{expr} exceeds the work budget of 1e+09 steps")):
+        call(**kwargs)
+
+
+def test_the_work_budget_admits_its_limit():
+    _work(_MAX_WORK, "n")
+    for work in (_MAX_WORK + 1, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"^n = \S+ exceeds the work "
+                           r"budget of 1e\+09 steps$"):
+            _work(work, "n")
 
 
 @given(a=st.floats(-1e300, 1e300),

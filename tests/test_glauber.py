@@ -3,6 +3,7 @@ and the deterministic (rate-equation) limit."""
 
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -585,6 +586,32 @@ def test_underflowing_rates_name_theta_and_the_state():
     with pytest.raises(ValueError,
                        match=r"\(S, H\) = \(50, 10\).*theta"):
         simulate_glauber(cold, 2.0, RandomSource(0))
+
+
+# every rate of the all-up state is subnormal or 0: the total is positive,
+# but the first waiting time divides to inf
+FROZEN = SpinSystemConfig(N_s=8, N_h=8, J11=1.0, J22=1.0, theta=2.4e-3)
+
+
+@pytest.mark.parametrize("sample_step", [None, 1.0])
+def test_an_infinite_waiting_time_holds_the_start_state(sample_step):
+    total = sum(transition_rates(SpinMacroState(8, 8), FROZEN))
+    assert 0.0 < total < sys.float_info.min
+    assert float(RandomSource(0).exponential()) / total == math.inf
+    run = assert_run_is_scalar_loop(FROZEN, 10.0, 0, None, sample_step)
+    assert run.n_events == 0
+    want = [0.0] if sample_step is None else np.arange(11.0).tolist()
+    assert run.times.tolist() == want
+    assert run.s.tolist() == run.h.tolist() == [1.0] * len(want)
+
+
+@pytest.mark.parametrize("config", [DB, DRIVEN], ids=["DB", "DRIVEN"])
+def test_a_sample_step_past_the_horizon_records_the_start_only(config):
+    # the grid is the one point t = 0, so the hold meets its end at once
+    run = assert_run_is_scalar_loop(config, 0.9, 3, SpinMacroState(0, 0), 1.0)
+    assert run.n_events > 0
+    assert run.times.tolist() == [0.0]
+    assert run.s.tolist() == run.h.tolist() == [0.0]
 
 
 def test_time_average_matches_gibbs_mean():

@@ -82,6 +82,8 @@ INPUTS = {
     "huge_beta1.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1e100"),
     "spins.txt": SPINS,
     "big_spins.txt": BIG_SPINS,
+    "fast_spins.txt": SPINS.replace("w_s = 1.0", "w_s = 1e15"),
+    "stalled_spins.txt": SPINS.replace("J11 = 0.8", "J11 = -1e300"),
     "H.csv": _csv("H", [0.4 * math.sin(2 * math.pi * d / 250.0)
                         + 0.1 * math.sin(2 * math.pi * d / 17.0)
                         for d in range(600)]),
@@ -137,6 +139,13 @@ CALLS = [
     "--out err10.csv",
     "glauber meanfield --params spins.txt --horizon 2 --sample-step inf "
     "--out err11.txt",
+    # three calls past a work budget, which once ran for ever
+    "simulate-theory --params main.txt --horizon 5 "
+    "--substeps 1000000000000000 --out err12",
+    "glauber trajectory --params fast_spins.txt --horizon 2 --sample-step 1 "
+    "--out err13.csv",
+    "glauber meanfield --params stalled_spins.txt --horizon 2 "
+    "--realizations 1 --out err14.txt",
     "stats returns --input emp.csv --column p --out returns.csv",
     "stats moments --input returns.csv --normalize --out moments.txt",
     "stats histogram --input returns.csv --bins 20 --out histogram.csv",
