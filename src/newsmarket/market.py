@@ -9,12 +9,14 @@ kappa1 = gamma/a1.  Noise is white on the daily grid only: one standard
 normal xi_d per business day, held constant across that day's substeps.
 
 Two RK4 paths step the same equations.  _make_drift and _rk4_step are the
-reference: the public drift, full-mode runs and phase.detect_limit_cycle
-use them.  Simplified-mode day loops (simulate and
-phase.integrate_autonomous) run a kernel in _daily_path with the drift
-written into the stage loop, because the criterion-9 protocol spends
-nearly all its time there; it makes the same floating-point operations in
-the same order, so both paths give bitwise-identical states.
+reference: the public drift and full-mode runs use them.  Simplified-mode
+day loops (simulate and phase.integrate_autonomous) run a kernel in
+_daily_path with the drift written into the stage loop, because the
+criterion-9 protocol spends nearly all its time there, and
+phase.detect_limit_cycle runs the same written-out stages in its
+per-substep section watch.  Both make the floating-point operations of the
+reference in the same order, so all paths give bitwise-identical states;
+a test holds each kernel to the reference.
 """
 
 from __future__ import annotations
@@ -97,9 +99,11 @@ def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
     Simplified mode runs the drift written out in the four stages, with
     the operations and their order of _rk4_step over _make_drift (hence
     bitwise-equal paths) but no closure calls or tuple builds, which
-    makes a substep about 1.8x faster.  Full mode steps one _make_drift
-    closure per day with _rk4_step; those two stay the reference that
-    the tests compare the kernel against.
+    makes a substep about 1.8x faster.  phase.detect_limit_cycle writes
+    out the same stages, as it needs every substep rather than one
+    sample a day.  Full mode steps one _make_drift closure per day with
+    _rk4_step; those two stay the reference that the tests compare both
+    kernels against.
 
     Raises once |s| or |h| exceeds 1 by more than the slack or is NaN.
     Forward in time the drift points inward on the boundary, so that is a

@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from newsmarket.core import MarketState, ModelParams
-from newsmarket.market import drift
+from newsmarket.core import _BOUND_SLACK, MarketState, ModelParams
+from newsmarket.market import (SIMPLIFIED, _left_box, _make_drift, _rk4_step,
+                               drift)
 from newsmarket.phase import (
     SADDLE,
     STABLE_FOCUS,
     STABLE_NODE,
     UNSTABLE_FOCUS,
     UNSTABLE_NODE,
+    LimitCycleReport,
+    _psi_phi_eta,
     bifurcation_sweep,
     classify,
     delta_critical,
@@ -29,6 +32,9 @@ from newsmarket.phase import (
 MAIN = ModelParams(w_s=0.04, w_h=0.4, beta1=1.1, beta2=0.55, a1=0.374,
                    a2=0.002, gamma=56.0, delta=0.03)
 SYM = MAIN.replace(delta=0.0)
+# a forward box exit on day 5 of substeps 3, where k // substeps is not k
+STIFF = MAIN.replace(w_s=0.4, w_h=12.0, beta1=1.5, beta2=1.0, gamma=30.0,
+                     delta=0.5)
 
 
 def fd_jacobian(s, h, params, eps=1e-6):
@@ -333,6 +339,98 @@ def test_box_exit_fails_forward_and_ends_the_search_in_reverse():
                              reverse=True)
     assert not rep.exists and not rep.stable
     assert rep.convergence_iterations == 0
+    # the message names the day, k // substeps, not the substep k
+    with pytest.raises(RuntimeError, match="at day 5:"):
+        detect_limit_cycle(STIFF, MarketState(-0.2, -0.4), 100, 3)
+
+
+def _closure_cycle(params, init, max_days, substeps, reverse, tol):
+    """The reference hunt: _rk4_step over one _make_drift closure, with
+    detect_limit_cycle's crossing bookkeeping copied unchanged."""
+    min_amplitude = 1e-3
+    h_section = math.tanh(params.delta)
+    f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
+    dt = 1.0 / substeps
+    step = -dt if reverse else dt
+    lim = 1.0 + _BOUND_SLACK
+    s, h = init.s, init.h
+    t = 0.0
+    prev_s_c = None
+    prev_t_c = None
+    crossings = 0
+    smin = smax = s
+    for k in range(max_days * substeps):
+        s0, g0 = s, h - h_section
+        s, h = _rk4_step(f, s, h, step)
+        t += dt
+        if not (abs(s) <= lim and abs(h) <= lim):
+            if not reverse:
+                raise _left_box(k // substeps, s, h)
+            break
+        if s < smin:
+            smin = s
+        elif s > smax:
+            smax = s
+        g1 = h - h_section
+        if g0 * g1 < 0.0:
+            frac = g0 / (g0 - g1)
+            s_c = s0 + frac * (s - s0)
+            t_c = (t - dt) + frac * dt
+            if f(s_c, h_section)[0] > 0.0:
+                crossings += 1
+                if prev_s_c is not None and abs(s_c - prev_s_c) < tol:
+                    closed = (smax - smin) >= min_amplitude
+                    return LimitCycleReport(
+                        exists=closed,
+                        period_days=(t_c - prev_t_c) if closed else 0.0,
+                        s_amplitude=(smin, smax),
+                        convergence_iterations=crossings,
+                        stable=not reverse)
+                prev_s_c, prev_t_c = s_c, t_c
+                smin = smax = s
+    return LimitCycleReport(False, 0.0, (smin, smax), crossings,
+                            stable=not reverse)
+
+
+def _report_or_error(hunt):
+    """repr of a hunt's report, or its integrator-failure message."""
+    try:
+        return repr(hunt())
+    except RuntimeError as err:
+        return str(err)
+
+
+@given(params=st.builds(
+           MAIN.replace,
+           w_s=st.floats(min_value=0.005, max_value=0.5),
+           w_h=st.floats(min_value=0.05, max_value=40.0),
+           beta1=st.floats(min_value=0.0, max_value=2.0),
+           beta2=st.floats(min_value=0.0, max_value=2.0),
+           gamma=st.floats(min_value=0.0, max_value=200.0),
+           delta=st.floats(min_value=0.0, max_value=0.5),
+           kappa=st.sampled_from([0.0, 0.3, 1.0, 3.0])),
+       s0=st.floats(min_value=-1.0, max_value=1.0),
+       h0=st.floats(min_value=-1.0, max_value=1.0),
+       max_days=st.integers(min_value=1, max_value=300),
+       substeps=st.integers(min_value=1, max_value=10),
+       reverse=st.booleans(),
+       tol=st.sampled_from([1e-6, 1e-3]))
+@example(params=STIFF, s0=-0.2, h0=-0.4, max_days=100, substeps=3,
+         reverse=False, tol=1e-6)
+@example(params=SYM.replace(gamma=62.0), s0=0.9, h0=0.0, max_days=20000,
+         substeps=8, reverse=True, tol=1e-6)
+@example(params=SYM.replace(gamma=62.0), s0=0.9, h0=0.0, max_days=6000,
+         substeps=8, reverse=False, tol=1e-6)
+@settings(max_examples=80, deadline=None)
+def test_limit_cycle_hunt_matches_closure_loop_bitwise(
+        params, s0, h0, max_days, substeps, reverse, tol):
+    # the written-out stages against _rk4_step over _make_drift: the same
+    # report, or the same failure text
+    init = MarketState(s0, h0)
+    assert _report_or_error(lambda: detect_limit_cycle(
+        params, init, max_days, substeps, reverse, tol)) == \
+        _report_or_error(lambda: _closure_cycle(
+            params, init, max_days, substeps, reverse, tol))
 
 
 def test_bifurcation_sweep_gamma():
@@ -456,3 +554,32 @@ def test_find_equilibria_takes_its_own_roots_at_a_large_beta1(beta1):
 def test_find_equilibria_names_beta1_when_the_linearization_overflows():
     with pytest.raises(ValueError, match="not finite: its terms in beta1,"):
         find_equilibria(MAIN.replace(beta1=1e300))
+
+
+@given(beta1=st.one_of(st.floats(min_value=0.0, max_value=2.0),
+                       st.floats(min_value=0.0, max_value=300.0).map(
+                           lambda x: 10.0 ** x)),
+       gamma=st.floats(min_value=0.0, max_value=200.0),
+       delta=st.floats(min_value=-0.5, max_value=0.5),
+       w_h=st.floats(min_value=0.05, max_value=40.0))
+@example(beta1=1e17, gamma=56.0, delta=0.03, w_h=0.4)
+@example(beta1=1e20, gamma=56.0, delta=0.03, w_h=0.4)
+@example(beta1=1e100, gamma=56.0, delta=0.03, w_h=0.4)
+@settings(max_examples=200, deadline=None)
+def test_eigenvalues_keep_the_trace_and_determinant(beta1, gamma, delta, w_h):
+    # lambda1 + lambda2 = tr and lambda1*lambda2 = psi*eta; a saddle's
+    # smaller eigenvalue, a difference of tr and sqrt(disc), read -8 at
+    # beta1 = 1e17 and 0 from 1e20 up, where about -eta = -10 is right
+    params = MAIN.replace(beta1=beta1, gamma=gamma, delta=delta, w_h=w_h)
+    try:
+        pts = find_equilibria(params)
+    except ValueError as err:
+        # tr**2 overflows for the middle root from beta1 of about 1e154
+        assert "is not finite" in str(err) and beta1 > 1e100
+        return
+    for p in pts:
+        psi, phi, eta = _psi_phi_eta(p.s_star_pt, params)
+        lam1, lam2 = p.eigenvalues
+        size = abs(lam1) + abs(lam2)
+        assert abs(lam1 + lam2 - (phi - psi)) <= 1e-12 * size
+        assert abs(lam1 * lam2 - psi * eta) <= 1e-12 * abs(psi * eta)

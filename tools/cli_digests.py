@@ -80,6 +80,7 @@ INPUTS = {
     "big_beta1.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1e6"),
     "critical.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1.0"),
     "huge_beta1.txt": MAIN.replace("beta1 = 1.1", "beta1 = 1e100"),
+    "stiff_cycle.txt": CYCLE.replace("w_h = 0.4", "w_h = 10.0"),
     "spins.txt": SPINS,
     "big_spins.txt": BIG_SPINS,
     "fast_spins.txt": SPINS.replace("w_s = 1.0", "w_s = 1e15"),
@@ -117,6 +118,11 @@ CALLS = [
     "--out limit_cycle.txt",
     "analyze limit-cycle --params cycle.txt --init-s 0.3 --init-h 0.1 "
     "--max-days 2000 --reverse --out limit_cycle_reverse.txt",
+    # the hunt's two box exits: a forward step failure, a reverse escape
+    "analyze limit-cycle --params stiff_cycle.txt --substeps 1 "
+    "--out err15.txt",
+    "analyze limit-cycle --params cycle.txt --init-s 0.9 --reverse "
+    "--out limit_cycle_escape.txt",
     "analyze heatmap --params main.txt --grid 11 --out heatmap.csv",
     "analyze potential --params main.txt --grid 51 --out potential.csv",
     "analyze potential --params critical.txt --grid 51 "
