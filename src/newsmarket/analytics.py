@@ -6,6 +6,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import Series, _count
 
@@ -29,6 +30,20 @@ def _lag_samples(series: Series, days: float, name: str) -> int:
         raise ValueError(f"{name} = {days} is not a positive multiple "
                          f"of the {series.step}-day step")
     return int(round(lag))
+
+
+def _spread(x: np.ndarray, name: str, fourth: bool = False) -> None:
+    """Raise ValueError naming `name` unless x's second central moment
+    (its fourth, with fourth=True) is a finite float: the one overflow
+    check of every statistic that squares deviations, which would
+    otherwise come out inf or nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        d2 = (x - np.mean(x))**2
+        m = float(np.mean(d2 * d2 if fourth else d2))
+    if not math.isfinite(m):
+        order = "fourth" if fourth else "second"
+        raise ValueError(f"{name}: {order} central moment overflows the "
+                         "float range")
 
 
 def _shifted_start(series: Series, shift: float, names: str) -> float:
@@ -81,11 +96,13 @@ def distribution_stats(returns: Series, normalize: bool = False):
     the plain moment-ratio estimators.  normalize first rescales the
     sample to zero mean and unit variance (affecting only the first two
     outputs; the shape moments are scale-free).  A sample that is
-    constant to float precision raises ValueError.
+    constant to float precision, or whose fourth central moment (second,
+    with normalize) overflows, raises ValueError.
     """
     if len(returns) < 30:
         raise ValueError("need at least 30 samples for stable moments")
     x = returns.values
+    _spread(x, "returns", fourth=not normalize)
     shape = _shape_moments(x)
     if normalize:
         x = (x - np.mean(x)) / math.sqrt(float(np.var(x, ddof=1)))
@@ -104,6 +121,7 @@ def autocorrelation(x: Series, max_lag: int) -> list:
     n = len(x)
     if max_lag >= n:
         raise ValueError("max_lag must be below the series length")
+    _spread(x.values, "x")
     d = x.values - np.mean(x.values)
     c0 = float(np.dot(d, d))
     if c0 == 0.0:
@@ -121,6 +139,8 @@ def cross_correlation(x: Series, y: Series, lags) -> list:
         raise ValueError("series lengths differ")
     n = len(x)
     xv, yv = x.values, y.values
+    _spread(xv, "x")
+    _spread(yv, "y")
     out = []
     for lag in lags:
         k = _count("lag", lag, least=-n)
@@ -158,6 +178,7 @@ def rolling_volatility(x: Series, increment_days: int,
     start = _shifted_start(x, m * inc * x.step,
                            "increment_days and window_days")
     diffs = x.values[inc:] - x.values[:-inc]          # diffs[t-inc] = x_t - x_(t-inc)
+    _spread(diffs, f"x's {increment_days}-day differences")
     anchors = np.arange(m * inc, n)
     cols = anchors[:, None] - inc * np.arange(m)[None, :] - inc
     vols = np.std(diffs[cols], axis=1, ddof=1)
@@ -213,6 +234,14 @@ def mssa_leading(x: Series, y: Series, window: int = 250,
     full length and returned on the original scale.  An oscillatory mode
     occupies a pair of components, so n_components = 2 isolates the
     leading quasiperiodic cycle shared by the two channels.
+
+    The trajectory matrix (2*window x K, K = len - window + 1) is
+    stacked from strided window views of the standardized series, and
+    only one copy of it is alive at a time: it is freed while the
+    eigensolver runs and stacked again for the projection.  Working
+    memory is therefore one trajectory matrix plus the 2*window-square
+    lag covariance and its eigenvectors, and the outputs are bitwise
+    equal to those of the same matrix gathered through an index array.
     """
     if len(x) != len(y):
         raise ValueError("series lengths differ")
@@ -223,6 +252,8 @@ def mssa_leading(x: Series, y: Series, window: int = 250,
     n_components = _count("n_components", n_components)
     if n_components > 2 * window:
         raise ValueError("n_components exceeds the number of channels")
+    _spread(x.values, "x")
+    _spread(y.values, "y")
 
     mx, my = float(np.mean(x.values)), float(np.mean(y.values))
     sx, sy = float(np.std(x.values)), float(np.std(y.values))
@@ -232,12 +263,16 @@ def mssa_leading(x: Series, y: Series, window: int = 250,
     zy = (y.values - my) / sy
 
     k = n - window + 1
-    idx = np.arange(window)[:, None] + np.arange(k)[None, :]
-    traj = np.vstack([zx[idx], zy[idx]])          # (2*window, K)
-    cov = traj @ traj.T / k
-    eigvals, eigvecs = np.linalg.eigh(cov)        # ascending order
+    # views[c][i, j] = z_c[i + j]: lag i, window start j, no copy
+    views = [sliding_window_view(z, window).T for z in (zx, zy)]
+    traj = np.vstack(views)                       # (2*window, K)
+    cov = traj @ traj.T
+    cov /= k
+    del traj
+    eigvecs = np.linalg.eigh(cov)[1]              # ascending eigenvalues
+    del cov
     lead = eigvecs[:, -n_components:]
-    rec = lead @ (lead.T @ traj)
+    rec = lead @ (lead.T @ np.vstack(views))
 
     x_rec = _hankel_average(rec[:window], n) * sx + mx
     y_rec = _hankel_average(rec[window:], n) * sy + my

@@ -259,6 +259,7 @@ def cmd_stats(args) -> None:
     elif args.task == "histogram":
         vals = x.values
         if not args.raw:
+            analytics._spread(vals, Path(args.input).name)
             std = np.std(vals)
             if std == 0.0:
                 raise ValueError("constant input cannot be normalized")

@@ -3,6 +3,7 @@ and singular-spectrum reconstruction."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from newsmarket.analytics import (
+    _hankel_average,
     autocorrelation,
     cross_correlation,
     distribution_stats,
@@ -376,3 +378,119 @@ def test_mssa_rejects_more_components_than_channels():
     x = Series(np.sin(np.arange(40.0)))
     with pytest.raises(ValueError, match="exceeds the number of channels"):
         mssa_leading(x, x, window=3, n_components=7)
+
+
+def _gathered_mssa(x, y, window, n_components):
+    """mssa_leading with its trajectory matrix gathered through an index
+    array, as it was before the strided embedding: the reference for
+    byte equality."""
+    n = len(x)
+    mx, my = float(np.mean(x.values)), float(np.mean(y.values))
+    sx, sy = float(np.std(x.values)), float(np.std(y.values))
+    zx = (x.values - mx) / sx
+    zy = (y.values - my) / sy
+    k = n - window + 1
+    idx = np.arange(window)[:, None] + np.arange(k)[None, :]
+    traj = np.vstack([zx[idx], zy[idx]])
+    cov = traj @ traj.T / k
+    eigvecs = np.linalg.eigh(cov)[1]
+    lead = eigvecs[:, -n_components:]
+    rec = lead @ (lead.T @ traj)
+    return (_hankel_average(rec[:window], n) * sx + mx,
+            _hankel_average(rec[window:], n) * sy + my)
+
+
+@st.composite
+def _mssa_shapes(draw):
+    n = draw(st.integers(min_value=4, max_value=700))
+    window = draw(st.integers(min_value=2, max_value=n // 2))
+    n_components = draw(st.integers(min_value=1, max_value=2 * window))
+    return n, window, n_components
+
+
+@given(shape=_mssa_shapes(), seed=st.integers(min_value=0, max_value=2**32 - 1),
+       cycle=st.floats(min_value=0.0, max_value=3.0))
+@settings(max_examples=150, deadline=None)
+def test_mssa_strided_embedding_matches_gather_bytewise(shape, seed, cycle):
+    n, window, n_components = shape
+    g = np.random.default_rng(seed)
+    t = np.arange(n, dtype=float)
+    x = Series(cycle * np.sin(t / 9.0) + g.standard_normal(n))
+    y = Series(cycle * np.cos(t / 9.0) + 50.0 * g.standard_normal(n) + 7.0,
+               start_index=3)
+    xr, yr = mssa_leading(x, y, window=window, n_components=n_components)
+    want_x, want_y = _gathered_mssa(x, y, window, n_components)
+    assert xr.values.tobytes() == want_x.tobytes()
+    assert yr.values.tobytes() == want_y.tobytes()
+    assert (yr.start_index, yr.step) == (3, 1.0)
+
+
+def test_mssa_holds_one_trajectory_matrix_at_a_time():
+    # the index-array form held the index matrix, two gathered copies
+    # and their stack at once: about twice this bound
+    n, window = 3000, 100
+    g = np.random.default_rng(8)
+    x = Series(np.sin(np.arange(n) / 30.0) + g.standard_normal(n))
+    y = Series(np.cos(np.arange(n) / 30.0) + g.standard_normal(n))
+    mssa_leading(x, y, window=window)
+    tracemalloc.start()
+    try:
+        mssa_leading(x, y, window=window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    traj = 2 * window * (n - window + 1) * 8
+    cov = (2 * window)**2 * 8
+    assert peak <= traj + 4 * cov
+
+
+_HUGE = Series(np.tile([1e160, -1e160], 100))
+_WAVE = Series(np.sin(np.arange(200.0)))
+
+
+@pytest.mark.parametrize("func, kwargs, named", [
+    (distribution_stats, dict(returns=_HUGE), "returns: fourth"),
+    (distribution_stats, dict(returns=_HUGE, normalize=True),
+     "returns: second"),
+    (autocorrelation, dict(x=_HUGE, max_lag=3), "x: second"),
+    (cross_correlation, dict(x=_HUGE, y=_WAVE, lags=[0]), "x: second"),
+    (cross_correlation, dict(x=_WAVE, y=_HUGE, lags=[0]), "y: second"),
+    (rolling_volatility, dict(x=_HUGE, increment_days=5, window_days=20),
+     "x's 5-day differences: second"),
+    (mssa_leading, dict(x=_HUGE, y=_WAVE, window=10), "x: second"),
+    (mssa_leading, dict(x=_WAVE, y=_HUGE, window=10), "y: second"),
+], ids=["moments", "moments-normalize", "acf", "xcorr-x", "xcorr-y",
+        "volatility", "mssa-x", "mssa-y"])
+def test_an_overflowing_spread_is_named(func, kwargs, named):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{named} central moment overflows the float range")):
+        func(**kwargs)
+
+
+def test_rolling_volatility_checks_the_differences_it_spreads():
+    # x's own second moment (6.4e307) is finite; its 1-day differences,
+    # +-1.6e154, square past the float range
+    x = Series(np.tile([8e153, -8e153], 50))
+    with pytest.raises(ValueError, match="x's 1-day differences: second"):
+        rolling_volatility(x, 1, 10)
+
+
+def test_large_finite_spreads_still_pass():
+    g = np.random.default_rng(4)
+    noise = g.standard_normal(400)
+    big = Series(1e100 * noise)
+    got = [a for _, a, _ in autocorrelation(big, 5)]
+    want = [a for _, a, _ in autocorrelation(Series(noise), 5)]
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    assert np.all(np.isfinite(rolling_volatility(big, 5, 50).values))
+    # at 1e80 the fourth moment overflows but the normalized sample's
+    # does not, so only the raw shape moments are refused
+    at80 = Series(1e80 * noise)
+    with pytest.raises(ValueError, match="returns: fourth"):
+        distribution_stats(at80)
+    _, var, skew, kurt = distribution_stats(at80, normalize=True)
+    assert var == pytest.approx(1.0)
+    z = (at80.values - np.mean(at80.values)) / math.sqrt(
+        float(np.var(at80.values, ddof=1)))
+    assert repr(skew) == repr(float(stats.skew(z, bias=True)))
+    assert repr(kurt) == repr(float(stats.kurtosis(z, bias=True)))

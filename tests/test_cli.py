@@ -809,6 +809,26 @@ def test_stats_histogram_of_a_constant_column(tmp_path, capsys):
     assert "constant input cannot be normalized" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("task, extra, named", [
+    ("moments", [], "returns: fourth"),
+    ("moments", ["--normalize"], "returns: second"),
+    ("acf", [], "x: second"),
+    ("histogram", [], "huge.csv: second"),
+    ("volatility", ["--increment", "5", "--window", "20"],
+     "x's 5-day differences: second"),
+], ids=["moments", "moments-normalize", "acf", "histogram", "volatility"])
+def test_stats_on_an_overflowing_spread_name_it(tmp_path, capsys, task,
+                                                extra, named):
+    f = tmp_path / "huge.csv"
+    write_series(f, Series(np.tile([1e160, -1e160], 100)))
+    out = tmp_path / "out"
+    code = main(["stats", task, "--input", str(f), *extra,
+                 "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert (f"{named} central moment overflows the float range"
+            in capsys.readouterr().err)
+
+
 def test_stats_lowpass_rejects_a_nan_period(tmp_path, capsys):
     f, _ = make_price_file(tmp_path)
     out = tmp_path / "low.csv"

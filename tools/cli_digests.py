@@ -95,6 +95,8 @@ INPUTS = {
     "empty.csv": "# nothing here\n",
     "short_row.csv": "date_index,H\n0,0.1\n1\n",
     "fractional_start.csv": "date_index,H\n\n0.25,0.1\n1.25,0.2\n",
+    # finite samples whose squared deviations overflow
+    "huge.csv": _csv("H", [(-1) ** d * 1e160 for d in range(200)]),
 }
 
 CALLS = [
@@ -169,6 +171,11 @@ CALLS = [
     "stats moments --input short_row.csv --out err6.txt",
     "stats moments --input fractional_start.csv --out err7.txt",
     "simulate-theory --help",
+    "stats moments --input huge.csv --out err16.txt",
+    "stats acf --input huge.csv --max-lag 5 --out err17.csv",
+    "stats histogram --input huge.csv --out err18.csv",
+    "stats volatility --input huge.csv --increment 5 --window 20 "
+    "--out err19.csv",
 ]
 
 
