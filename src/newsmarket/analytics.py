@@ -32,11 +32,11 @@ def _lag_samples(series: Series, days: float, name: str) -> int:
     return int(round(lag))
 
 
-def _spread(x: np.ndarray, name: str, fourth: bool = False) -> None:
-    """Raise ValueError naming `name` unless x's second central moment
-    (its fourth, with fourth=True) is a finite float: the one overflow
-    check of every statistic that squares deviations, which would
-    otherwise come out inf or nan."""
+def _spread(x: np.ndarray, name: str, fourth: bool = False) -> float:
+    """x's second central moment (np.var(x), the same float; its fourth
+    with fourth=True), or ValueError naming `name` where it is not finite:
+    the one overflow check of every statistic that squares deviations,
+    which would otherwise come out inf or nan."""
     with np.errstate(over="ignore", invalid="ignore"):
         d2 = (x - np.mean(x))**2
         m = float(np.mean(d2 * d2 if fourth else d2))
@@ -44,6 +44,14 @@ def _spread(x: np.ndarray, name: str, fourth: bool = False) -> None:
         order = "fourth" if fourth else "second"
         raise ValueError(f"{name}: {order} central moment overflows the "
                          "float range")
+    return m
+
+
+def _finite(v: np.ndarray, what: str) -> None:
+    """Raise ValueError unless every element of v, which a finite sample
+    gave, is finite: `what` overflowed the float range."""
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} overflow the float range")
 
 
 def _shifted_start(series: Series, shift: float, names: str) -> float:
@@ -66,7 +74,9 @@ def log_returns(p: Series, horizon_days: int) -> Series:
         raise ValueError(f"series length {len(p)} cannot support a "
                          f"{horizon_days}-day return")
     start = _shifted_start(p, horizon_days, "horizon_days")
-    vals = p.values[lag:] - p.values[:-lag]
+    with np.errstate(over="ignore"):
+        vals = p.values[lag:] - p.values[:-lag]
+    _finite(vals, f"p: {horizon_days}-day differences")
     return Series(vals, start_index=start, step=p.step)
 
 
@@ -75,18 +85,25 @@ def _shape_moments(x: np.ndarray) -> tuple:
 
     The operations are scipy.stats.skew and kurtosis(bias=True)'s, in
     their order, so the results are bitwise equal to theirs.  A sample
-    whose second central moment is at or below (eps * mean)**2, scipy's
-    test, varies only in its last bits and raises ValueError.
+    that _check_variance finds constant to float precision raises
+    ValueError.
     """
     mean = np.mean(x, keepdims=True)
     d = x - mean
     d2 = d**2
     m2 = np.mean(d2)
-    if m2 <= (_EPS * mean[0])**2:
-        raise ValueError("zero variance at float precision: skewness "
-                         "and kurtosis are undefined")
+    _check_variance(m2, mean[0])
     return (float(np.mean(d2 * d) / m2**1.5),
             float(np.mean(d2**2) / m2**2.0 - 3))
+
+
+def _check_variance(m2: float, mean: float) -> None:
+    """Raise ValueError where the second central moment m2 of a sample
+    with this mean is at or below (eps * mean)**2, scipy's test for a
+    sample that varies only in its last bits."""
+    if m2 <= (_EPS * mean)**2:
+        raise ValueError("zero variance at float precision: skewness "
+                         "and kurtosis are undefined")
 
 
 def distribution_stats(returns: Series, normalize: bool = False):
@@ -102,12 +119,12 @@ def distribution_stats(returns: Series, normalize: bool = False):
     if len(returns) < 30:
         raise ValueError("need at least 30 samples for stable moments")
     x = returns.values
-    _spread(x, "returns", fourth=not normalize)
-    shape = _shape_moments(x)
+    m = _spread(x, "returns", fourth=not normalize)
     if normalize:
-        x = (x - np.mean(x)) / math.sqrt(float(np.var(x, ddof=1)))
-        shape = _shape_moments(x)
-    return (float(np.mean(x)), float(np.var(x, ddof=1)), *shape)
+        mean = np.mean(x)
+        _check_variance(m, mean)
+        x = (x - mean) / math.sqrt(float(np.var(x, ddof=1)))
+    return (float(np.mean(x)), float(np.var(x, ddof=1)), *_shape_moments(x))
 
 
 def autocorrelation(x: Series, max_lag: int) -> list:
@@ -200,14 +217,18 @@ def fourier_lowpass(x: Series, min_period_days: float) -> Series:
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")
-    spec = np.fft.rfft(x.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.fft.rfft(x.values)
+    _finite(spec, "x: Fourier coefficients")
     k = np.arange(len(spec))
     period = np.empty(len(spec))
     period[0] = np.inf
     period[1:] = n * x.step / k[1:]
     spec[period < min_period_days] = 0.0
-    return Series(np.fft.irfft(spec, n=n), start_index=x.start_index,
-                  step=x.step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.fft.irfft(spec, n=n)
+    _finite(vals, "x: filtered values")
+    return Series(vals, start_index=x.start_index, step=x.step)
 
 
 def _hankel_average(block: np.ndarray, n: int) -> np.ndarray:
@@ -252,11 +273,9 @@ def mssa_leading(x: Series, y: Series, window: int = 250,
     n_components = _count("n_components", n_components)
     if n_components > 2 * window:
         raise ValueError("n_components exceeds the number of channels")
-    _spread(x.values, "x")
-    _spread(y.values, "y")
-
+    sx = math.sqrt(_spread(x.values, "x"))
+    sy = math.sqrt(_spread(y.values, "y"))
     mx, my = float(np.mean(x.values)), float(np.mean(y.values))
-    sx, sy = float(np.std(x.values)), float(np.std(y.values))
     if sx == 0.0 or sy == 0.0:
         raise ValueError("constant input has no spectral structure")
     zx = (x.values - mx) / sx

@@ -258,9 +258,13 @@ def cmd_stats(args) -> None:
                       ])
     elif args.task == "histogram":
         vals = x.values
-        if not args.raw:
-            analytics._spread(vals, Path(args.input).name)
-            std = np.std(vals)
+        name = Path(args.input).name
+        if args.raw:
+            if not math.isfinite(float(vals.max()) - float(vals.min())):
+                raise ValueError(f"{name}: data range max - min overflows "
+                                 "the float range")
+        else:
+            std = math.sqrt(analytics._spread(vals, name))
             if std == 0.0:
                 raise ValueError("constant input cannot be normalized")
             vals = (vals - np.mean(vals)) / std

@@ -195,6 +195,16 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
+def _fixed_steps(params: ModelParams, name: str, days: int, substeps) -> int:
+    """The one admission rule of the fixed-step RK4 entries: validate
+    params, count substeps and fit days * substeps (days already counted
+    by the caller and named `name`) to _work's budget; returns substeps."""
+    validate(params)
+    substeps = _count("substeps", substeps)
+    _work(days * substeps, f"{name} * substeps = {days} * {substeps}")
+    return substeps
+
+
 @dataclass(frozen=True)
 class MarketState:
     """Instantaneous (s, h, p): sentiment, information flow, log price."""

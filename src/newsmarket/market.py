@@ -30,7 +30,7 @@ from functools import partial
 import numpy as np
 
 from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
-                   RandomSource, Series, _count, _size, _work, validate)
+                   RandomSource, Series, _count, _fixed_steps, _size)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -206,13 +206,10 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     core._MAX_WORK = 10**9, the used part of theta_profile positive and
     not subnormal, and the daily beta1 finite and non-negative.
     """
-    validate(params)
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
     horizon_days = _size("horizon_days", horizon_days)
-    substeps = _count("substeps", substeps)
-    _work(horizon_days * substeps,
-          f"horizon_days * substeps = {horizon_days} * {substeps}")
+    substeps = _fixed_steps(params, "horizon_days", horizon_days, substeps)
     if theta_profile is not None and theta_profile.step != 1.0:
         raise ValueError("theta_profile must be sampled daily (step = 1), "
                          f"got step {theta_profile.step}")

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
-                   _div_cosh2, _size, _work, validate)
-from .market import SIMPLIFIED, _daily_path, _left_box, _make_drift
+                   _div_cosh2, _fixed_steps, _size, validate)
+from .market import SIMPLIFIED, _daily_path, _left_box
 from .sentiment import equilibria_1d
 
 __all__ = [
@@ -290,10 +290,8 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
     the stochastic simulator, so a noise-free simulation from the same
     state produces the identical path.
     """
-    validate(params)
     days = _size("days", days)
-    substeps = _count("substeps", substeps)
-    _work(days * substeps, f"days * substeps = {days} * {substeps}")
+    substeps = _fixed_steps(params, "days", days, substeps)
     s_out, h_out = _daily_path(params, np.full(days - 1, params.beta1),
                                np.zeros(days - 1), init.s, init.h, substeps,
                                SIMPLIFIED, reverse)
@@ -325,18 +323,14 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     of market._rk4_step over market._make_drift, so a test holds the
     reports bitwise equal to that closure loop, at about 1.6x its speed.
     """
-    validate(params)
     max_days = _count("max_days", max_days)
-    substeps = _count("substeps", substeps)
-    _work(max_days * substeps,
-          f"max_days * substeps = {max_days} * {substeps}")
+    substeps = _fixed_steps(params, "max_days", max_days, substeps)
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     if not min_amplitude >= 0.0:
         raise ValueError(f"min_amplitude must be non-negative, got "
                          f"{min_amplitude}")
     h_section = math.tanh(params.delta)
-    f = _make_drift(params, params.beta1, 0.0, SIMPLIFIED)
     dt = 1.0 / substeps
     step = -dt if reverse else dt
     lim = 1.0 + _BOUND_SLACK
@@ -383,7 +377,7 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
             frac = g0 / (g0 - g1)
             s_c = s0 + frac * (s - s0)
             t_c = (t - dt) + frac * dt
-            if f(s_c, h_section)[0] > 0.0:
+            if nw_s * s_c + w_s * tanh(b1 * s_c + b2 * h_section) > 0.0:
                 crossings += 1
                 if prev_s_c is not None and abs(s_c - prev_s_c) < tol:
                     closed = (smax - smin) >= min_amplitude

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _count,
-                   _size, _work, validate)
+from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _fixed_steps,
+                   _size)
 
 __all__ = [
     "STABLE",
@@ -63,11 +63,9 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     rather than clipping: a bound violation (or a NaN state) means an
     integrator failure, not a modeling outcome.
     """
-    validate(params)
     if H.step != 1.0:
         raise ValueError("H must be sampled daily (step = 1)")
-    substeps = _count("substeps", substeps)
-    _work(len(H) * substeps, f"len(H) * substeps = {len(H)} * {substeps}")
+    substeps = _fixed_steps(params, "len(H)", len(H), substeps)
     if not abs(s0) <= 1:
         raise ValueError("s0 must lie in [-1, 1]")
     w_s = params.w_s

@@ -13,6 +13,7 @@ from scipy import stats
 
 from newsmarket.analytics import (
     _hankel_average,
+    _spread,
     autocorrelation,
     cross_correlation,
     distribution_stats,
@@ -475,6 +476,7 @@ def test_rolling_volatility_checks_the_differences_it_spreads():
         rolling_volatility(x, 1, 10)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_large_finite_spreads_still_pass():
     g = np.random.default_rng(4)
     noise = g.standard_normal(400)
@@ -494,3 +496,37 @@ def test_large_finite_spreads_still_pass():
         float(np.var(at80.values, ddof=1)))
     assert repr(skew) == repr(float(stats.skew(z, bias=True)))
     assert repr(kurt) == repr(float(stats.kurtosis(z, bias=True)))
+
+
+# finite samples whose differences or transforms leave the float range
+_EDGE = Series(np.tile([1.7e308, -1.7e308], 100))
+_SPIKE = Series(np.r_[1e308, np.zeros(199)])
+
+
+@pytest.mark.parametrize("func, kwargs, named", [
+    (log_returns, dict(p=_EDGE, horizon_days=1),
+     "p: 1-day differences overflow"),
+    (log_returns, dict(p=_EDGE, horizon_days=3),
+     "p: 3-day differences overflow"),
+    (fourier_lowpass, dict(x=_EDGE, min_period_days=10.0),
+     "x: Fourier coefficients overflow"),
+    # every coefficient is 1e308, but all of them summed back are not
+    (fourier_lowpass, dict(x=_SPIKE, min_period_days=1.0),
+     "x: filtered values overflow"),
+], ids=["returns-1", "returns-3", "lowpass-forward", "lowpass-inverse"])
+def test_an_overflowing_difference_or_transform_is_named(func, kwargs,
+                                                         named):
+    with pytest.raises(ValueError, match=re.escape(
+            f"{named} the float range")):
+        func(**kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(2, 3000), scale=st.floats(-150.0, 150.0),
+       offset=st.floats(-1e6, 1e6), seed=st.integers(0, 2**32 - 1))
+def test_spread_is_the_variance_that_std_roots(n, scale, offset, seed):
+    # mssa_leading and `stats histogram` take math.sqrt of _spread's
+    # moment as the standard deviation: the float np.std gives
+    x = 10.0**scale * (np.random.default_rng(seed).standard_normal(n)
+                       + offset)
+    assert repr(math.sqrt(_spread(x, "x"))) == repr(float(np.std(x)))

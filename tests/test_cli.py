@@ -829,6 +829,24 @@ def test_stats_on_an_overflowing_spread_name_it(tmp_path, capsys, task,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("task, extra, named", [
+    ("returns", [], "p: 21-day differences overflow"),
+    ("lowpass", ["--min-period", "10"], "x: Fourier coefficients overflow"),
+    ("histogram", ["--raw", "--bins", "4"],
+     "edge.csv: data range max - min overflows"),
+], ids=["returns", "lowpass", "histogram-raw"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stats_on_an_overflowing_range_name_it(tmp_path, capsys, task,
+                                               extra, named):
+    f = tmp_path / "edge.csv"
+    write_series(f, Series(np.tile([1.7e308, -1.7e308], 100)))
+    out = tmp_path / "out"
+    code = main(["stats", task, "--input", str(f), *extra,
+                 "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert f"{named} the float range" in capsys.readouterr().err
+
+
 def test_stats_lowpass_rejects_a_nan_period(tmp_path, capsys):
     f, _ = make_price_file(tmp_path)
     out = tmp_path / "low.csv"

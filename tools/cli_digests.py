@@ -97,6 +97,8 @@ INPUTS = {
     "fractional_start.csv": "date_index,H\n\n0.25,0.1\n1.25,0.2\n",
     # finite samples whose squared deviations overflow
     "huge.csv": _csv("H", [(-1) ** d * 1e160 for d in range(200)]),
+    # finite samples whose differences and data range overflow
+    "edge.csv": _csv("H", [(-1) ** d * 1.7e308 for d in range(200)]),
 }
 
 CALLS = [
@@ -176,6 +178,9 @@ CALLS = [
     "stats histogram --input huge.csv --out err18.csv",
     "stats volatility --input huge.csv --increment 5 --window 20 "
     "--out err19.csv",
+    "stats returns --input edge.csv --out err20.csv",
+    "stats lowpass --input edge.csv --min-period 10 --out err21.csv",
+    "stats histogram --input edge.csv --raw --bins 4 --out err22.csv",
 ]
 
 
