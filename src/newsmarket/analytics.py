@@ -8,7 +8,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import Series, _count
+from .core import Series, _count, _finite
 
 _EPS = np.finfo(float).eps
 
@@ -34,24 +34,14 @@ def _lag_samples(series: Series, days: float, name: str) -> int:
 
 def _spread(x: np.ndarray, name: str, fourth: bool = False) -> float:
     """x's second central moment (np.var(x), the same float; its fourth
-    with fourth=True), or ValueError naming `name` where it is not finite:
-    the one overflow check of every statistic that squares deviations,
-    which would otherwise come out inf or nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    with fourth=True), checked by core._finite and named `name` there:
+    the overflow check of every statistic that squares deviations, which
+    would otherwise come out inf or nan."""
+    def moment(x):
         d2 = (x - np.mean(x))**2
-        m = float(np.mean(d2 * d2 if fourth else d2))
-    if not math.isfinite(m):
-        order = "fourth" if fourth else "second"
-        raise ValueError(f"{name}: {order} central moment overflows the "
-                         "float range")
-    return m
-
-
-def _finite(v: np.ndarray, what: str) -> None:
-    """Raise ValueError unless every element of v, which a finite sample
-    gave, is finite: `what` overflowed the float range."""
-    if not np.all(np.isfinite(v)):
-        raise ValueError(f"{what} overflow the float range")
+        return float(np.mean(d2 * d2 if fourth else d2))
+    order = "fourth" if fourth else "second"
+    return _finite(f"{name}: {order} central moment overflows", moment, x)
 
 
 def _shifted_start(series: Series, shift: float, names: str) -> float:
@@ -74,9 +64,8 @@ def log_returns(p: Series, horizon_days: int) -> Series:
         raise ValueError(f"series length {len(p)} cannot support a "
                          f"{horizon_days}-day return")
     start = _shifted_start(p, horizon_days, "horizon_days")
-    with np.errstate(over="ignore"):
-        vals = p.values[lag:] - p.values[:-lag]
-    _finite(vals, f"p: {horizon_days}-day differences")
+    vals = _finite(f"p: {horizon_days}-day differences overflow",
+                   np.subtract, p.values[lag:], p.values[:-lag])
     return Series(vals, start_index=start, step=p.step)
 
 
@@ -217,17 +206,13 @@ def fourier_lowpass(x: Series, min_period_days: float) -> Series:
     n = len(x)
     if n < 2:
         raise ValueError("need at least two samples")
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec = np.fft.rfft(x.values)
-    _finite(spec, "x: Fourier coefficients")
+    spec = _finite("x: Fourier coefficients overflow", np.fft.rfft, x.values)
     k = np.arange(len(spec))
     period = np.empty(len(spec))
     period[0] = np.inf
     period[1:] = n * x.step / k[1:]
     spec[period < min_period_days] = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.fft.irfft(spec, n=n)
-    _finite(vals, "x: filtered values")
+    vals = _finite("x: filtered values overflow", np.fft.irfft, spec, n)
     return Series(vals, start_index=x.start_index, step=x.step)
 
 

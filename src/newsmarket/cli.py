@@ -27,9 +27,9 @@ import numpy as np
 
 from . import __version__
 from .core import (FULL, SIMPLIFIED, MarketState, RandomSource,
-                   _PARAM_FIELDS, _count, _fields_line, _fmt, _length,
-                   _load_record, _size, _write_report, _write_table,
-                   load_params, read_series, write_series)
+                   _PARAM_FIELDS, _count, _fields_line, _finite, _fmt,
+                   _length, _load_record, _size, _write_report,
+                   _write_table, load_params, read_series, write_series)
 
 __all__ = ["main"]
 
@@ -260,9 +260,7 @@ def cmd_stats(args) -> None:
         vals = x.values
         name = Path(args.input).name
         if args.raw:
-            if not math.isfinite(float(vals.max()) - float(vals.min())):
-                raise ValueError(f"{name}: data range max - min overflows "
-                                 "the float range")
+            _finite(f"{name}: data range max - min overflows", np.ptp, vals)
         else:
             std = math.sqrt(analytics._spread(vals, name))
             if std == 0.0:

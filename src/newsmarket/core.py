@@ -174,6 +174,19 @@ def _work(work, expr: str) -> None:
                          f"{_MAX_WORK:.0e} steps")
 
 
+def _finite(what: str, f, *args):
+    """f(*args), evaluated with numpy's overflow and invalid warnings off,
+    or ValueError(f"{what} the float range") where any element of it is
+    not finite: the one overflow rule of every result that finite input
+    can carry past the float range.  `what` names the result and its verb
+    ("p: 21-day differences overflow")."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = f(*args)
+    if not np.all(np.isfinite(v)):
+        raise ValueError(f"{what} the float range")
+    return v
+
+
 def _div_cosh2(a: float, x: float) -> float:
     """a / cosh(x)**2, that is a*sech(x)**2, written so that it cannot
     overflow: where cosh(x)**2 would (|x| above about 355) the quotient

@@ -30,7 +30,8 @@ from functools import partial
 import numpy as np
 
 from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
-                   RandomSource, Series, _count, _fixed_steps, _size)
+                   RandomSource, Series, _count, _finite, _fixed_steps,
+                   _size)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -299,12 +300,18 @@ def noise_dominance_map(params: ModelParams, s_grid, h_grid) -> np.ndarray:
 
     Entry [i, j] corresponds to (s_grid[i], h_grid[j]).  Large values mark
     regions where the deterministic feedback dwarfs the noise; the ratio
-    vanishes on the sentiment nullcline, where noise dominates.
+    vanishes on the sentiment nullcline, where noise dominates.  A ratio
+    past the float range raises ValueError naming w_s, gamma and kappa.
     """
     if not (params.kappa > 0):
         raise ValueError("kappa must be positive for the dominance map")
-    s = np.asarray(s_grid, dtype=float)[:, None]
-    h = np.asarray(h_grid, dtype=float)[None, :]
-    ds = -params.w_s * s + params.w_s * np.tanh(
-        params.beta1 * s + params.beta2 * h)
-    return params.gamma * np.abs(ds) / params.kappa
+
+    def ratio(s, h):
+        ds = -params.w_s * s + params.w_s * np.tanh(
+            params.beta1 * s + params.beta2 * h)
+        return params.gamma * np.abs(ds) / params.kappa
+
+    return _finite("feedback-to-noise ratio in w_s, gamma and kappa "
+                   "overflows", ratio,
+                   np.asarray(s_grid, dtype=float)[:, None],
+                   np.asarray(h_grid, dtype=float)[None, :])

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
-                   _div_cosh2, _fixed_steps, _size, validate)
+                   _div_cosh2, _finite, _fixed_steps, _size, validate)
 from .market import SIMPLIFIED, _daily_path, _left_box
 from .sentiment import equilibria_1d
 
@@ -233,7 +233,9 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
 
     Returns (g_node_focus, g_focus_unstable, g_unstable_node), always
     increasing.  s_star_pt must lie in [-1, 1].  Only defined where
-    psi > 0; the shallow-well branch is a saddle at every gamma.
+    psi > 0; the shallow-well branch is a saddle at every gamma.  A
+    threshold past the float range (a subnormal denominator) raises
+    ValueError naming the fields.
     """
     if not abs(s_star_pt) <= 1.0:
         raise ValueError(f"s_star_pt must lie in [-1, 1], got {s_star_pt}")
@@ -252,7 +254,9 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
                          f"sech^2(delta) underflows to 0 at delta = "
                          f"{params.delta}")
     rx = math.sqrt(x)
-    return ((1.0 - rx) ** 2 / den, (1.0 + x) / den, (1.0 + rx) ** 2 / den)
+    return _finite(
+        "gamma thresholds in w_s, w_h, beta1, beta2 and delta overflow",
+        lambda: ((1.0 - rx)**2 / den, (1.0 + x) / den, (1.0 + rx)**2 / den))
 
 
 def oscillator_reduction(s: float, s_dot: float, params: ModelParams):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Series, _count
+from .core import ModelParams, Series, _count, _finite
 from .reference import solve_sbar
 from .sentiment import STABLE, equilibria_1d, integrate_sentiment
 
@@ -57,18 +57,27 @@ def decompose_price(s: Series, params: ModelParams):
     """Split price into its fast and slow components.
 
     fast = a1*s; slow = trapezoidal integral of a2*(s - s_star) plus a4.
-    The two sum exactly (bitwise) to the price_from_sentiment output.
+    The two sum exactly (bitwise) to the price_from_sentiment output.  A
+    slow channel past the float range raises ValueError naming a2, s_star
+    and a4.
     """
+    def integral(v):
+        return _cumtrapz0(params.a2 * (v - params.s_star), s.step) + params.a4
+
     fast = params.a1 * s.values
-    slow = _cumtrapz0(params.a2 * (s.values - params.s_star), s.step) + params.a4
+    slow = _finite("log price's slow channel in a2, s_star and a4 overflows",
+                   integral, s.values)
     return (Series(fast, s.start_index, s.step),
             Series(slow, s.start_index, s.step))
 
 
 def price_from_sentiment(s: Series, params: ModelParams) -> Series:
-    """Log price from a sentiment series; p(0) = a1*s(0) + a4."""
+    """Log price from a sentiment series; p(0) = a1*s(0) + a4.  A price
+    past the float range raises ValueError naming a1, a2, a4 and s_star."""
     fast, slow = decompose_price(s, params)
-    return Series(fast.values + slow.values, s.start_index, s.step)
+    p = _finite("log price in a1, a2, a4 and s_star overflows", np.add,
+                fast.values, slow.values)
+    return Series(p, s.start_index, s.step)
 
 
 def _least_squares(columns, target):

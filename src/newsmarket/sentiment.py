@@ -144,10 +144,12 @@ def equilibria_1d(beta1: float, c: float) -> list:
     points s_pm = (+-acosh(sqrt(beta1)) - c)/beta1, which exist for
     beta1 > 1.  [-1, s_-, s_+, 1] therefore cuts [-1, 1] into at most three
     brackets with at most one root each; core._brentq solves every bracket
-    whose ends differ in sign to 1e-12, and a root on a bracket end is
-    taken as is, once.  A root is stable where g falls across its bracket,
-    and on a bracket end (s = +-1, or a fold whose gap rounds to 0), and
-    unstable where g rises.  Returns (s, "stable"|"unstable") sorted by s.
+    whose ends differ in sign to 1e-12, and a root there is stable where g
+    falls across the bracket and unstable where g rises.  An end whose gap
+    is exactly 0 is taken as a root, once, and is stable (s = +-1, or a
+    fold), except a turning point next to another zero end: rounding
+    pinned a pair of roots to those two ends, and the turning point holds
+    the unstable one.  Returns (s, "stable"|"unstable") in increasing s.
     """
     for name, value in (("beta1", beta1), ("c", c)):
         if not math.isfinite(value):
@@ -161,11 +163,14 @@ def equilibria_1d(beta1: float, c: float) -> list:
                  if -1.0 < x < 1.0}
     ends = [-1.0, *sorted(inner), 1.0]
     vals = [_self_consistency_gap(x, beta1, c) for x in ends]
-    roots = [(x, STABLE) for x, v in zip(ends, vals) if v == 0.0]
-    for lo, hi, f_lo, f_hi in zip(ends, ends[1:], vals, vals[1:]):
-        if f_lo < 0.0 < f_hi or f_hi < 0.0 < f_lo:
-            roots.append((_brentq(_self_consistency_gap, lo, hi,
+    last = len(ends) - 1
+    roots = []
+    for i, (lo, f_lo) in enumerate(zip(ends, vals)):
+        if f_lo == 0.0:
+            pinned = 0 < i < last and 0.0 in (vals[i - 1], vals[i + 1])
+            roots.append((lo, UNSTABLE if pinned else STABLE))
+        if i < last and (f_lo < 0.0 < vals[i + 1] or vals[i + 1] < 0.0 < f_lo):
+            roots.append((_brentq(_self_consistency_gap, lo, ends[i + 1],
                                   args=(beta1, c)),
                           UNSTABLE if f_lo < 0.0 else STABLE))
-    # by s alone: roots that round to one float keep their bracket order
-    return sorted(roots, key=lambda root: root[0])
+    return roots

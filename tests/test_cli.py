@@ -91,6 +91,12 @@ def h_file(tmp_path):
     return f
 
 
+def _edited(**fields):
+    """MAIN_TEXT with the named fields set to new values."""
+    lines = (line.split(" = ") for line in MAIN_TEXT.splitlines())
+    return "".join(f"{k} = {fields.get(k, v)}\n" for k, v in lines)
+
+
 def read_report(path):
     out = {}
     for line in path.read_text().splitlines():
@@ -587,6 +593,22 @@ def test_analyze_potential_labels_alternate(tmp_path, beta1, kinds):
             if "kind=" in line] == kinds
 
 
+def test_analyze_potential_at_a_pinned_root_pair(tmp_path):
+    # c = beta2*h_bar within 20 of -beta1 at beta1 ~ 7e15: the maximum
+    # was written as a third minimum
+    params = tmp_path / "params.txt"
+    params.write_text(_edited(beta1="7057989524665945", beta2="1.0")
+                      + "h_bar = -7057989524665925\n")
+    out = tmp_path / "pot.csv"
+    assert main(["analyze", "potential", "--params", str(params),
+                 "--grid", "7", "--out", str(out)]) == 0
+    assert [line for line in out.read_text().splitlines()
+            if "kind=" in line] == [
+        "# extremum: s=-1.0 kind=min",
+        "# extremum: s=0.9999999999999999 kind=max",
+        "# extremum: s=1.0 kind=min"]
+
+
 def test_glauber_trajectory(spin_file, tmp_path):
     out = tmp_path / "traj.csv"
     assert main(["glauber", "trajectory", "--params", str(spin_file),
@@ -843,6 +865,36 @@ def test_stats_on_an_overflowing_range_name_it(tmp_path, capsys, task,
     out = tmp_path / "out"
     code = main(["stats", task, "--input", str(f), *extra,
                  "--out", str(out)])
+    assert code == 1 and not out.exists()
+    assert f"{named} the float range" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, fields, named", [
+    (["analyze", "heatmap", "--grid", "5"], dict(kappa="1e-320"),
+     "feedback-to-noise ratio in w_s, gamma and kappa overflows"),
+    (["analyze", "heatmap", "--grid", "5"], dict(w_s="1e308"),
+     "feedback-to-noise ratio in w_s, gamma and kappa overflows"),
+    (["analyze", "thresholds"], dict(delta="354"),
+     "gamma thresholds in w_s, w_h, beta1, beta2 and delta overflow"),
+    (["analyze", "thresholds"], dict(beta2="1e-310"),
+     "gamma thresholds in w_s, w_h, beta1, beta2 and delta overflow"),
+    (["simulate-empirical"], dict(a1="1.7e308", a4="1.7e308"),
+     "log price in a1, a2, a4 and s_star overflows"),
+    (["simulate-theory", "--horizon", "50"], dict(a2="1e308", s_star="-1"),
+     "log price's slow channel in a2, s_star and a4 overflows"),
+], ids=["heatmap-kappa", "heatmap-w_s", "thresholds-delta",
+        "thresholds-beta2", "empirical-price", "theory-slow-channel"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_output_names_its_fields(tmp_path, capsys, h_file,
+                                                argv, fields, named):
+    # heatmap and thresholds exited 0 with inf cells; the price failed as
+    # "non-finite sample at position 0" (or 1), naming no field
+    params = tmp_path / "params.txt"
+    params.write_text(_edited(**fields))
+    if argv[0] == "simulate-empirical":
+        argv = argv + ["--input", str(h_file)]
+    out = tmp_path / "out"
+    code = main([*argv, "--params", str(params), "--out", str(out)])
     assert code == 1 and not out.exists()
     assert f"{named} the float range" in capsys.readouterr().err
 

@@ -453,6 +453,17 @@ def test_noise_dominance_requires_noise():
         noise_dominance_map(QUIET, [0.0], [0.0])
 
 
+@pytest.mark.parametrize("changes", [dict(kappa=1e-320), dict(w_s=1e308)],
+                         ids=["subnormal-kappa", "huge-w_s"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_noise_dominance_map_names_an_overflowing_ratio(changes):
+    # the ratio came back with inf cells and a numpy warning
+    grid = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match="ratio in w_s, gamma and kappa "
+                       "overflows the float range"):
+        noise_dominance_map(MAIN.replace(**changes), grid, grid)
+
+
 def test_full_mode_step_failure_raises():
     # the full-mode branch of the day loop has its own bound check
     stiff = QUIET.replace(w_s=1e300)

@@ -197,6 +197,18 @@ def test_gamma_thresholds_undefined_without_news_coupling():
         gamma_thresholds(sp.s_star_pt, pars)
 
 
+@pytest.mark.parametrize("changes", [dict(delta=354.0), dict(beta2=1e-310)],
+                         ids=["delta", "beta2"])
+def test_gamma_thresholds_name_a_subnormal_denominator(changes):
+    # w_s*beta2*(1 - s*^2)*sech^2(delta) is subnormal but not 0, and the
+    # three quotients came back inf
+    pars = MAIN.replace(**changes)
+    sp = max(find_equilibria(pars), key=lambda q: q.s_star_pt)
+    with pytest.raises(ValueError, match="gamma thresholds in w_s, w_h, "
+                       "beta1, beta2 and delta overflow the float range"):
+        gamma_thresholds(sp.s_star_pt, pars)
+
+
 def test_oscillator_reduction_force_is_potential_gradient():
     eps = 1e-6
     for s in (-0.5, -0.1, 0.0, 0.2, 0.6):

@@ -53,6 +53,20 @@ def test_decompose_sums_bitwise():
     assert slow.values[0] == PARAMS.a4
 
 
+@pytest.mark.parametrize("changes, named", [
+    (dict(a1=1.7e308, a4=1.7e308), "log price in a1, a2, a4 and s_star"),
+    (dict(a2=1e308, s_star=-1.0),
+     "log price's slow channel in a2, s_star and a4"),
+], ids=["sum", "slow-channel"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_price_names_its_fields(changes, named):
+    # both failed as "non-finite sample at position 0" (or 1) after a
+    # numpy warning, naming no field
+    s = Series(np.full(20, 0.9))
+    with pytest.raises(ValueError, match=f"{named} overflows the float"):
+        price_from_sentiment(s, PARAMS.replace(**changes))
+
+
 def test_calibrate_round_trip():
     rng = np.random.default_rng(5)
     H = Series(np.clip(rng.normal(0.0, 0.4, 500), -1, 1))

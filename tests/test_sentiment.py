@@ -305,3 +305,37 @@ def test_equilibria_labels_alternate_at_huge_beta1(beta1, c):
     # tolerance, where the slope is about 0; a slope test made it stable
     roots = equilibria_1d(beta1, c)
     assert [k for _, k in roots] == [STABLE, UNSTABLE, STABLE]
+
+
+@pytest.mark.parametrize("beta1, c, middle", [
+    (7057989524665945, -7057989524665925, 0.9999999999999999),
+    (6347007782352872, 6347007782352852, -0.9999999999999999),
+])
+def test_equilibria_pinned_pair_holds_the_unstable_root(beta1, c, middle):
+    # beta1*s has an ulp of about 1 here: the gap rounds to 0 at a
+    # turning point and at the box end next to it, and all three roots
+    # read stable
+    assert equilibria_1d(beta1, c) == [(-1.0, STABLE), (middle, UNSTABLE),
+                                       (1.0, STABLE)]
+
+
+@given(beta1=st.one_of(st.floats(min_value=0.0, max_value=3.0),
+                      st.floats(min_value=0.0, max_value=300.0)
+                      .map(lambda e: 10.0 ** e)),
+       c=st.floats(min_value=-2.0, max_value=2.0),
+       near_end=st.sampled_from([None, -1.0, 1.0]),
+       offset=st.floats(min_value=-40.0, max_value=40.0))
+@example(beta1=7057989524665945.0, c=0.0, near_end=-1.0, offset=20.0)
+@settings(max_examples=300, deadline=None)
+def test_equilibria_three_roots_read_stable_unstable_stable(beta1, c,
+                                                           near_end, offset):
+    if near_end is not None:
+        # within 40 of +-beta1, where the turning points and roots crowd
+        # s = +-1
+        c = near_end * beta1 + offset
+    roots = equilibria_1d(beta1, c)
+    ss, kinds = [r for r, _ in roots], [k for _, k in roots]
+    assert all(b >= a for a, b in zip(ss, ss[1:]))
+    assert STABLE in kinds
+    if len(roots) == 3:
+        assert kinds == [STABLE, UNSTABLE, STABLE]

@@ -99,6 +99,19 @@ INPUTS = {
     "huge.csv": _csv("H", [(-1) ** d * 1e160 for d in range(200)]),
     # finite samples whose differences and data range overflow
     "edge.csv": _csv("H", [(-1) ** d * 1.7e308 for d in range(200)]),
+    # finite fields whose heat map, thresholds or price overflow
+    "tiny_kappa.txt": MAIN.replace("kappa = 1.0", "kappa = 1e-320"),
+    "huge_w_s.txt": MAIN.replace("w_s = 0.04", "w_s = 1e308"),
+    "far_delta.txt": MAIN.replace("delta = 0.03", "delta = 354"),
+    "tiny_beta2.txt": MAIN.replace("beta2 = 0.55", "beta2 = 1e-310"),
+    "huge_price.txt": (MAIN.replace("a1 = 0.374", "a1 = 1.7e308")
+                       .replace("a4 = 6.5", "a4 = 1.7e308")),
+    "huge_slow.txt": (MAIN.replace("a2 = 0.002", "a2 = 1e308")
+                      .replace("s_star = 0.131", "s_star = -1")),
+    # beta1*s has an ulp of about 1: a root pair pinned to s ~ 1 and 1
+    "pinned.txt": (MAIN.replace("beta1 = 1.1", "beta1 = 7057989524665945")
+                   .replace("beta2 = 0.55", "beta2 = 1.0")
+                   + "h_bar = -7057989524665925\n"),
 }
 
 CALLS = [
@@ -181,6 +194,15 @@ CALLS = [
     "stats returns --input edge.csv --out err20.csv",
     "stats lowpass --input edge.csv --min-period 10 --out err21.csv",
     "stats histogram --input edge.csv --raw --bins 4 --out err22.csv",
+    "analyze heatmap --params tiny_kappa.txt --grid 5 --out err23.csv",
+    "analyze heatmap --params huge_w_s.txt --grid 5 --out err24.csv",
+    "analyze thresholds --params far_delta.txt --out err25.csv",
+    "analyze thresholds --params tiny_beta2.txt --out err26.csv",
+    "simulate-empirical --input H.csv --params huge_price.txt "
+    "--out err27.csv",
+    "simulate-theory --params huge_slow.txt --horizon 50 --out err28",
+    "analyze potential --params pinned.txt --grid 51 "
+    "--out potential_pinned.csv",
 ]
 
 
