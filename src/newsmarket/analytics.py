@@ -11,6 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import Series, _count, _finite
 
 _EPS = np.finfo(float).eps
+_FMAX = np.finfo(float).max
 
 __all__ = [
     "log_returns",
@@ -212,7 +213,15 @@ def fourier_lowpass(x: Series, min_period_days: float) -> Series:
     period[0] = np.inf
     period[1:] = n * x.step / k[1:]
     spec[period < min_period_days] = 0.0
-    vals = _finite("x: filtered values overflow", np.fft.irfft, spec, n)
+    # irfft sums n terms before it scales by 1/n.  Each term is at most
+    # sqrt(2) times the larger of |real| and |imag| (|coef| itself can
+    # overflow), so where the sum could pass the float range, scale first.
+    norm = "backward"
+    if max(np.abs(spec.real).max(), np.abs(spec.imag).max()) > _FMAX / 2 / n:
+        spec /= n
+        norm = "forward"
+    vals = _finite("x: filtered values overflow", np.fft.irfft, spec, n,
+                   -1, norm)
     return Series(vals, start_index=x.start_index, step=x.step)
 
 

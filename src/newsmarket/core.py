@@ -208,6 +208,17 @@ def validate(params: ModelParams) -> ModelParams:
     return params
 
 
+def _left_box(day: int, s: float, h: float | None = None) -> RuntimeError:
+    """The error of a fixed-step RK4 state past |s|, |h| <= 1 + _BOUND_SLACK
+    (or NaN) on `day`; h is None on the one-component sentiment path.
+    Forward in time the drift points inward on the boundary, so leaving is
+    a step-size failure, raised rather than clipped; in reverse time it is
+    an escape, which phase.detect_limit_cycle turns into "no cycle"."""
+    state = f"s = {s}" if h is None else f"s = {s}, h = {h}"
+    return RuntimeError(f"integrator failure at day {day}: state left "
+                        f"[-1, 1] ({state})")
+
+
 def _fixed_steps(params: ModelParams, name: str, days: int, substeps) -> int:
     """The one admission rule of the fixed-step RK4 entries: validate
     params, count substeps and fit days * substeps (days already counted

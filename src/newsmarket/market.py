@@ -31,7 +31,7 @@ import numpy as np
 
 from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
                    RandomSource, Series, _count, _finite, _fixed_steps,
-                   _size)
+                   _left_box, _size)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -84,12 +84,6 @@ def _rk4_step(f, s: float, h: float, dt: float):
             h + dt * (k1h + 2.0 * k2h + 2.0 * k3h + k4h) / 6.0)
 
 
-def _left_box(day: int, s: float, h: float) -> RuntimeError:
-    """The error for a state past the |s|, |h| <= 1 bound (or NaN)."""
-    return RuntimeError(f"integrator failure at day {day}: state left "
-                        f"[-1, 1] (s = {s}, h = {h})")
-
-
 def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
                 s: float, h: float, substeps: int, mode: str,
                 reverse: bool = False):
@@ -106,10 +100,8 @@ def _daily_path(params: ModelParams, beta1: np.ndarray, xi: np.ndarray,
     _rk4_step; those two stay the reference that the tests compare both
     kernels against.
 
-    Raises once |s| or |h| exceeds 1 by more than the slack or is NaN.
-    Forward in time the drift points inward on the boundary, so that is a
-    step-size failure; in reverse time it is an orbit escaping the
-    physical box.
+    Raises core._left_box once the state leaves the box, in either time
+    direction.
     """
     dt = (-1.0 if reverse else 1.0) / substeps
     lim = 1.0 + _BOUND_SLACK

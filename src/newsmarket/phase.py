@@ -33,9 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, MarketState, ModelParams, Series, _count,
-                   _div_cosh2, _finite, _fixed_steps, _size, validate)
-from .market import SIMPLIFIED, _daily_path, _left_box
+from .core import (_BOUND_SLACK, SIMPLIFIED, MarketState, ModelParams,
+                   Series, _count, _div_cosh2, _finite, _fixed_steps,
+                   _left_box, _size, validate)
+from .market import _daily_path
 from .sentiment import equilibria_1d
 
 __all__ = [
@@ -234,8 +235,8 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
     Returns (g_node_focus, g_focus_unstable, g_unstable_node), always
     increasing.  s_star_pt must lie in [-1, 1].  Only defined where
     psi > 0; the shallow-well branch is a saddle at every gamma.  A
-    threshold past the float range (a subnormal denominator) raises
-    ValueError naming the fields.
+    threshold (over a subnormal denominator) or a numerator past the
+    float range raises ValueError naming the fields.
     """
     if not abs(s_star_pt) <= 1.0:
         raise ValueError(f"s_star_pt must lie in [-1, 1], got {s_star_pt}")
@@ -244,7 +245,8 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
     if x <= 0.0:
         raise ValueError("saddle branch: beta1*(1 - s*^2) >= 1 has no "
                          "node/focus transitions")
-    num = params.w_s * params.beta2 * one_m
+    num = _finite("gamma thresholds' numerator w_s*beta2*(1 - s*^2) "
+                  "overflows", lambda: params.w_s * params.beta2 * one_m)
     if num <= 0.0:
         raise ValueError("thresholds undefined: beta2*(1 - s*^2) must be "
                          "positive")
@@ -316,11 +318,9 @@ def detect_limit_cycle(params: ModelParams, init: MarketState,
     successive-crossing agreement in s within tol and an s-extent of at
     least min_amplitude over the final loop (tol > 0, min_amplitude >= 0,
     neither NaN).  reverse=True integrates
-    backward in time, which turns unstable cycles into attractors; orbits
-    may then leave [-1, 1], which ends the search with exists False.
-    Forward in time the drift points inward on the boundary, so leaving
-    the box (or a NaN state) is an integrator failure and raises
-    RuntimeError.
+    backward in time, which turns unstable cycles into attractors.  A
+    state leaving the box raises core._left_box forward in time and ends
+    the search with exists False in reverse.
 
     Each substep runs the simplified-mode drift written out in the four
     RK4 stages, as in market._daily_path: the operations and their order

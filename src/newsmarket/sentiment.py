@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _fixed_steps,
-                   _size)
+                   _left_box, _size)
 
 __all__ = [
     "STABLE",
@@ -58,10 +58,8 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
     Classical 4-stage Runge-Kutta with `substeps` (an integer >= 1, at
     most core._MAX_WORK = 10**9 over the len(H) days) steps per day; H is
     held constant within each day (zero-order hold).  params must pass
-    validate and s0 lie in [-1, 1].  The drift points inward at s = +-1
-    for any finite H, so the integrator asserts |s| <= 1 + 1e-9 and raises
-    rather than clipping: a bound violation (or a NaN state) means an
-    integrator failure, not a modeling outcome.
+    validate and s0 lie in [-1, 1].  A state leaving [-1, 1] raises
+    core._left_box.
     """
     if H.step != 1.0:
         raise ValueError("H must be sampled daily (step = 1)")
@@ -94,8 +92,7 @@ def integrate_sentiment(H: Series, s0: float, params: ModelParams,
             k4 = w_s * (tanh(b1 * y + drive) - y)
             s = s + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             if not abs(s) <= lim:
-                raise RuntimeError(
-                    f"integrator failure: |s| = {abs(s)} beyond 1 at day {d}")
+                raise _left_box(d, s)
         out[d + 1] = s
     return Series(out, start_index=H.start_index, step=1.0)
 

@@ -940,3 +940,14 @@ def test_default_theory_start_with_one_root(tmp_path, text):
               key=lambda p: p.s_star_pt)
     assert float(manifest["init_s"]) == top.s_star_pt
     assert float(manifest["init_h"]) == top.h_star_pt
+
+
+def test_theory_start_with_only_init_h_takes_s_zero(params_file, tmp_path):
+    out = tmp_path / "run"
+    assert main(["simulate-theory", "--params", str(params_file),
+                 "--horizon", "3", "--init-h", "0.1", "--out", str(out)]) == 0
+    manifest = read_report(out / "manifest.txt")
+    assert float(manifest["init_s"]) == 0.0
+    assert float(manifest["init_h"]) == 0.1
+    assert read_series(out / "run_000.csv", column="s").values[0] == 0.0
+    assert read_series(out / "run_000.csv", column="h").values[0] == 0.1

@@ -776,6 +776,22 @@ def test_rk45_fails_like_solve_ivp_when_the_step_collapses():
     assert str(ours) == f"rate-equation integration failed: {sol.message}"
 
 
+def test_rk45_fails_like_solve_ivp_when_ten_spacings_exceed_the_step():
+    # at t = 1e16 ten float spacings are 20 time units, above the first
+    # step, which is raised to them; that step fails its error test and
+    # the next is below the spacing
+    cfg = SpinSystemConfig(N_s=100, N_h=10, J11=0.5)
+    span = np.array([1e16, 1e16 + 1000.0])
+    sol = solve_ivp(_meanfield_rhs, span, [1.0, 1.0], t_eval=span,
+                    args=(cfg,), rtol=1e-10, atol=1e-12)
+    assert not sol.success
+    with pytest.raises(RuntimeError) as ours:
+        glauber._rk45(lambda t, y: _meanfield_rhs(t, y, cfg), span,
+                      [1.0, 1.0], span)
+    assert str(ours.value) == (
+        f"rate-equation integration failed: {sol.message}")
+
+
 def test_meanfield_compare_reaches_a_grid_point_past_the_horizon():
     # 317 * 0.1 rounds above 31.7: solve_ivp rejected that t_eval as
     # outside the span, so the comparison failed on scipy's message

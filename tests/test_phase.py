@@ -1,6 +1,7 @@
 """Equilibria, linear classification, bifurcation structure, limit cycles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -207,6 +208,18 @@ def test_gamma_thresholds_name_a_subnormal_denominator(changes):
     with pytest.raises(ValueError, match="gamma thresholds in w_s, w_h, "
                        "beta1, beta2 and delta overflow the float range"):
         gamma_thresholds(sp.s_star_pt, pars)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gamma_thresholds_name_an_overflowing_numerator():
+    # w_s*beta2*(1 - s*^2) overflows to inf, and each quotient over it
+    # came back 0.0
+    pars = ModelParams(w_s=1e300, w_h=1e300, beta1=1.1, beta2=1e10, a1=1.0,
+                       a2=1.0)
+    with pytest.raises(ValueError, match=re.escape(
+            "gamma thresholds' numerator w_s*beta2*(1 - s*^2) overflows "
+            "the float range")):
+        gamma_thresholds(0.9, pars)
 
 
 def test_oscillator_reduction_force_is_potential_gradient():

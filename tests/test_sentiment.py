@@ -123,7 +123,8 @@ def _numpy_scalar_days(H, s0, params, substeps):
             k4 = w_s * (math.tanh(b1 * y + drive) - y)
             s = s + dt * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
             if not abs(s) <= 1.0 + _BOUND_SLACK:
-                return f"integrator failure: |s| = {abs(s)} beyond 1 at day {d}"
+                return (f"integrator failure at day {d}: state left "
+                        f"[-1, 1] (s = {s})")
         out[d + 1] = s
     return out.tobytes()
 

@@ -108,6 +108,8 @@ INPUTS = {
                        .replace("a4 = 6.5", "a4 = 1.7e308")),
     "huge_slow.txt": (MAIN.replace("a2 = 0.002", "a2 = 1e308")
                       .replace("s_star = 0.131", "s_star = -1")),
+    # every Fourier coefficient is 1e308, and so is the filtered day 0
+    "spike.csv": _csv("H", [1e308] + [0.0] * 199),
     # beta1*s has an ulp of about 1: a root pair pinned to s ~ 1 and 1
     "pinned.txt": (MAIN.replace("beta1 = 1.1", "beta1 = 7057989524665945")
                    .replace("beta2 = 0.55", "beta2 = 1.0")
@@ -203,6 +205,9 @@ CALLS = [
     "simulate-theory --params huge_slow.txt --horizon 50 --out err28",
     "analyze potential --params pinned.txt --grid 51 "
     "--out potential_pinned.csv",
+    "stats lowpass --input spike.csv --min-period 1 --out lowpass_spike.csv",
+    "simulate-theory --params main.txt --horizon 50 --init-h 0.1 "
+    "--out init_h",
 ]
 
 
