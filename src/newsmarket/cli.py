@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__
 from .core import (FULL, SIMPLIFIED, MarketState, RandomSource,
-                   _PARAM_FIELDS, _count, _fields_line, _finite, _fmt,
-                   _length, _load_record, _size, _write_report,
+                   _PARAM_FIELDS, _SUBSTEPS, _count, _fields_line, _finite,
+                   _fmt, _length, _load_record, _size, _write_report,
                    _write_table, load_params, read_series, write_series)
 
 __all__ = ["main"]
@@ -311,7 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV")
     p.add_argument("--init-s", type=float, default=None,
                    help="initial sentiment (default: equilibrium for H[0])")
-    p.add_argument("--substeps", type=int, default=8)
+    p.add_argument("--substeps", type=int, default=_SUBSTEPS)
     p.set_defaults(func=cmd_simulate_empirical)
 
     p = sub.add_parser("simulate-theory",
@@ -325,7 +325,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", default=None,
                    help="temperature profile CSV overriding beta1 = 1/theta")
     p.add_argument("--mode", choices=(SIMPLIFIED, FULL), default=SIMPLIFIED)
-    p.add_argument("--substeps", type=int, default=8)
+    p.add_argument("--substeps", type=int, default=_SUBSTEPS)
     p.add_argument("--beta1-shift", type=float, default=0.0)
     p.add_argument("--init-s", type=float, default=None)
     p.add_argument("--init-h", type=float, default=None)
@@ -353,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="limit-cycle: integration budget")
     p.add_argument("--reverse", action="store_true",
                    help="limit-cycle: integrate backward (unstable cycles)")
-    p.add_argument("--substeps", type=int, default=8)
+    p.add_argument("--substeps", type=int, default=_SUBSTEPS)
     p.add_argument("--grid", type=int, default=101,
                    help="heatmap/potential: grid points per axis")
     p.set_defaults(func=cmd_analyze)

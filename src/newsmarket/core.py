@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
@@ -36,6 +37,8 @@ __all__ = [
 
 # Integrators raise once |s| or |h| exceeds 1 by more than this slack.
 _BOUND_SLACK = 1e-9
+# The least temperature theta accepted: 1/theta can overflow below it.
+_MIN_THETA = sys.float_info.min
 # Absolute root tolerance of every _brentq solve in the package.
 _ROOT_XTOL = 1e-12
 # Relative tolerance and iteration budget of _brentq (scipy's defaults).
@@ -46,6 +49,8 @@ _ROOT_MAXITER = 100
 # here so that the CLI parser can offer them without importing market.
 SIMPLIFIED = "simplified"
 FULL = "full"
+# RK4 substeps per day, the default of every fixed-step entry and CLI flag.
+_SUBSTEPS = 8
 
 # ModelParams fields in output order (the order of params lines and
 # manifests), which differs from the dataclass's declaration order.

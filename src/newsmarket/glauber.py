@@ -44,13 +44,12 @@ substream).
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from itertools import chain, repeat
 
 import numpy as np
 
-from .core import RandomSource, _count, _length, _size, _work
+from .core import _MIN_THETA, RandomSource, _count, _length, _size, _work
 
 __all__ = [
     "SpinSystemConfig",
@@ -68,6 +67,9 @@ __all__ = [
 # the cost of one numpy call thinly, few enough that a short run wastes
 # little.
 _BLOCK = 1024
+# The inputs a failed spin-system computation asks the user to check.
+_CHECK = ("check w_s, w_h, theta, the couplings J11, J12, J21, J22, mu_s, "
+          "mu_h and the fields b_s, b_h")
 # Macrostates whose rates simulate_glauber keeps under constant fields;
 # the table is emptied when full, which bounds its memory on long runs
 # that wander over many states.
@@ -98,9 +100,8 @@ class SpinSystemConfig:
     cross couplings must satisfy J21/J12 = N_s/N_h, otherwise no single
     energy function generates both flip rates.
 
-    theta must be at least sys.float_info.min, as 1/theta can overflow
-    for a subnormal theta.  theta = inf is accepted as the
-    infinite-temperature limit beta = 0:
+    theta must be at least core._MIN_THETA, the least normal float.
+    theta = inf is accepted as the infinite-temperature limit beta = 0:
     every flip is a fair coin at rate w/2, whatever the couplings and
     fields, and the Gibbs distribution is the product of two binomials.
     """
@@ -129,9 +130,8 @@ class SpinSystemConfig:
         sizes_ok = not bad
         if not self.theta > 0:
             bad.append("theta must be positive")
-        elif self.theta < sys.float_info.min:
-            # 1/theta can overflow for a subnormal theta
-            bad.append(f"theta must be at least {sys.float_info.min}, got "
+        elif self.theta < _MIN_THETA:
+            bad.append(f"theta must be at least {_MIN_THETA}, got "
                        f"{self.theta!r}")
         if not self.w_s > 0:
             bad.append("w_s must be positive")
@@ -352,9 +352,7 @@ def _runs(config, horizon, rngs, init, sample_step):
         if not 0.0 < total < math.inf:
             raise ValueError(f"total flip rate {total} at t = {t} in state "
                              f"(S, H) = ({S}, {H}) is not positive and "
-                             "finite: check w_s, w_h, theta, the couplings "
-                             "J11, J12, J21, J22, mu_s, mu_h and the fields "
-                             "b_s, b_h")
+                             f"finite: {_CHECK}")
         return r1, r12, r123, total
 
     cache = None if callable(config.b_s) or callable(config.b_h) else {}
@@ -580,9 +578,7 @@ def _rk45(fun, t_span, y0, t_eval):
                 raise RuntimeError(
                     "rate-equation integration used up its "
                     f"{_RK45_MAX_CALLS:.0e} right-hand-side calls at t = "
-                    f"{t} of {t_bound}: check w_s, w_h, theta, the "
-                    "couplings J11, J12, J21, J22, mu_s, mu_h and the "
-                    "fields b_s, b_h")
+                    f"{t} of {t_bound}: {_CHECK}")
             t_new = t + h_abs
             if t_new - t_bound > 0:
                 t_new = t_bound

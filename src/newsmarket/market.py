@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, FULL, SIMPLIFIED, MarketState, ModelParams,
-                   RandomSource, Series, _count, _finite, _fixed_steps,
-                   _left_box, _size)
+from .core import (_BOUND_SLACK, _MIN_THETA, _SUBSTEPS, FULL, SIMPLIFIED,
+                   MarketState, ModelParams, RandomSource, Series, _count,
+                   _finite, _fixed_steps, _left_box, _size)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -183,7 +182,7 @@ class SimulationRun:
 
 
 def simulate(params: ModelParams, init: MarketState, horizon_days: int,
-             substeps: int = 8, rng: RandomSource | None = None,
+             substeps: int = _SUBSTEPS, rng: RandomSource | None = None,
              theta_profile: Series | None = None, mode: str = SIMPLIFIED,
              beta1_shift: float = 0.0) -> SimulationRun:
     """Integrate the closed system for horizon_days daily samples.
@@ -220,12 +219,11 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
         beta1 = np.full(n - 1, params.beta1 + beta1_shift)
     else:
         theta = theta_profile.values[:n - 1]
-        # 1/theta can overflow for a subnormal theta
-        bad_days = np.flatnonzero(theta < sys.float_info.min)
+        bad_days = np.flatnonzero(theta < _MIN_THETA)
         if bad_days.size:
             bad = int(bad_days[0])
             raise ValueError("theta_profile must be positive and at least "
-                             f"{sys.float_info.min}: day {bad} has theta = "
+                             f"{_MIN_THETA}: day {bad} has theta = "
                              f"{theta[bad]}")
         beta1 = 1.0 / theta + beta1_shift
     if not np.all(np.isfinite(beta1) & (beta1 >= 0.0)):
@@ -252,7 +250,7 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
 def ensemble(params: ModelParams, init: MarketState, horizon: int,
              n_realizations: int, rng: RandomSource,
              theta_profile: Series | None = None, mode: str = SIMPLIFIED,
-             substeps: int = 8, beta1_shift: float = 0.0,
+             substeps: int = _SUBSTEPS, beta1_shift: float = 0.0,
              workers: int | None = None):
     """Run n_realizations (an integer >= 1) of simulate; realization i
     runs on rng.substream(i).

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, SIMPLIFIED, MarketState, ModelParams,
-                   Series, _count, _div_cosh2, _finite, _fixed_steps,
-                   _left_box, _size, validate)
+from .core import (_BOUND_SLACK, _SUBSTEPS, SIMPLIFIED, MarketState,
+                   ModelParams, Series, _count, _div_cosh2, _finite,
+                   _fixed_steps, _left_box, _size, validate)
 from .market import _daily_path
 from .sentiment import equilibria_1d
 
@@ -286,7 +286,7 @@ def oscillator_reduction(s: float, s_dot: float, params: ModelParams):
 
 
 def integrate_autonomous(params: ModelParams, init: MarketState,
-                         days: int, substeps: int = 8,
+                         days: int, substeps: int = _SUBSTEPS,
                          reverse: bool = False):
     """Daily-sampled trajectory of the autonomous system from init.
 
@@ -305,7 +305,7 @@ def integrate_autonomous(params: ModelParams, init: MarketState,
 
 
 def detect_limit_cycle(params: ModelParams, init: MarketState,
-                       max_days: int, substeps: int = 8,
+                       max_days: int, substeps: int = _SUBSTEPS,
                        reverse: bool = False, tol: float = 1e-6,
                        min_amplitude: float = 1e-3) -> LimitCycleReport:
     """Hunt for a closed orbit of the autonomous system from init.

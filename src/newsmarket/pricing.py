@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelParams, Series, _count, _finite
+from .core import _SUBSTEPS, ModelParams, Series, _count, _finite
 from .reference import solve_sbar
 from .sentiment import STABLE, equilibria_1d, integrate_sentiment
 
@@ -130,7 +130,7 @@ def initial_sentiment(beta1: float, beta2: float, h0: float) -> float:
 
 def iterative_theta_fit(H: Series, p_obs: Series, params: ModelParams,
                         window: int = 250, sigma: float = 0.3,
-                        substeps: int = 8):
+                        substeps: int = _SUBSTEPS):
     """Windowed temperature fit: piecewise-constant beta1(t) = 1/theta(t).
 
     For each consecutive window, every candidate beta1 on the grid

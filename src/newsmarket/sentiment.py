@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, ModelParams, Series, _brentq, _fixed_steps,
-                   _left_box, _size)
+from .core import (_BOUND_SLACK, _SUBSTEPS, ModelParams, Series, _brentq,
+                   _fixed_steps, _left_box, _size)
 
 __all__ = [
     "STABLE",
@@ -52,7 +52,7 @@ def sentiment_rhs(s: float, H: float, params: ModelParams) -> float:
 
 
 def integrate_sentiment(H: Series, s0: float, params: ModelParams,
-                        substeps: int = 8) -> Series:
+                        substeps: int = _SUBSTEPS) -> Series:
     """Integrate sentiment over the daily grid of H.
 
     Classical 4-stage Runge-Kutta with `substeps` (an integer >= 1, at
