@@ -224,16 +224,19 @@ def delta_critical(beta1: float, beta2: float) -> float:
 
 
 def delta_critical_asymptotic(beta1: float, beta2: float) -> float:
-    """Small-(beta1 - 1) expansion of delta_critical, on its domain."""
+    """Small-(beta1 - 1) expansion of delta_critical, on its domain; a
+    value past the float range raises ValueError naming beta1 and beta2."""
     _check_fold_domain(beta1, beta2)
-    return 2.0 / (3.0 * beta2 * beta1 ** 1.5) * (beta1 - 1.0) ** 1.5
+    return _finite("asymptotic critical bias in beta1 and beta2 overflows",
+                   lambda: 2.0 / (3.0 * beta2)
+                   * ((beta1 - 1.0) / beta1) ** 1.5)
 
 
 def gamma_thresholds(s_star_pt: float, params: ModelParams):
     """The three gamma values bounding the class sequence on a stable branch.
 
-    Returns (g_node_focus, g_focus_unstable, g_unstable_node), always
-    increasing.  s_star_pt must lie in [-1, 1].  Only defined where
+    Returns (g_node_focus, g_focus_unstable, g_unstable_node), in
+    non-decreasing order.  s_star_pt must lie in [-1, 1].  Only defined where
     psi > 0; the shallow-well branch is a saddle at every gamma.  A
     threshold (over a subnormal denominator) or a numerator past the
     float range raises ValueError naming the fields.
@@ -256,9 +259,11 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
                          f"sech^2(delta) underflows to 0 at delta = "
                          f"{params.delta}")
     rx = math.sqrt(x)
-    return _finite(
+    lo, mid, hi = _finite(
         "gamma thresholds in w_s, w_h, beta1, beta2 and delta overflow",
         lambda: ((1.0 - rx)**2 / den, (1.0 + x) / den, (1.0 + rx)**2 / den))
+    # the three round together once x passes about 1e31, and can swap
+    return min(lo, mid), mid, max(hi, mid)
 
 
 def oscillator_reduction(s: float, s_dot: float, params: ModelParams):
@@ -267,22 +272,28 @@ def oscillator_reduction(s: float, s_dot: float, params: ModelParams):
 
     s_dot is accepted so callers evaluating the friction force
     G(s)*s_dot or the energy s_dot^2/2 + U(s) carry one state tuple; the
-    returned coefficients depend on s only.
+    returned coefficients depend on s only.  A coefficient past the
+    float range raises ValueError naming the fields.
     """
     if not abs(s) < 1.0:
         raise ValueError("reduction valid for |s| < 1")
     b1, b2 = params.beta1, params.beta2
     eta, gbar, delta = params.eta, params.gamma_bar, params.delta
-    g = ((1.0 - b1 - b2 * eta * gbar + eta)
-         + 2.0 * b2 * eta * delta * s
-         + (b1 + b2 * eta * gbar + 2.0 * b1 * eta - 2.0 * eta) * s * s)
-    u = -eta * ((b1 - 1.0) * s * s / 2.0
-                - (b1 - 2.0 / 3.0) * s ** 4 / 4.0
-                + b2 * delta * s)
-    du = -eta * ((b1 - 1.0) * s
-                 - (b1 - 2.0 / 3.0) * s ** 3
-                 + b2 * delta)
-    return g, du, u
+
+    def coefficients():
+        g = ((1.0 - b1 - b2 * eta * gbar + eta)
+             + 2.0 * b2 * eta * delta * s
+             + (b1 + b2 * eta * gbar + 2.0 * b1 * eta - 2.0 * eta) * s * s)
+        u = -eta * ((b1 - 1.0) * s * s / 2.0
+                    - (b1 - 2.0 / 3.0) * s ** 4 / 4.0
+                    + b2 * delta * s)
+        du = -eta * ((b1 - 1.0) * s
+                     - (b1 - 2.0 / 3.0) * s ** 3
+                     + b2 * delta)
+        return g, du, u
+
+    return _finite("oscillator reduction in beta1, beta2, gamma, delta, w_s "
+                   "and w_h overflows", coefficients)
 
 
 def integrate_autonomous(params: ModelParams, init: MarketState,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BOUND_SLACK, _SUBSTEPS, ModelParams, Series, _brentq,
-                   _fixed_steps, _left_box, _size)
+                   _finite, _fixed_steps, _left_box, _size)
 
 __all__ = [
     "STABLE",
@@ -114,19 +114,24 @@ def potential_uc(params: ModelParams, c: float,
     A positive tilt c deepens the positive well; above a critical tilt the
     negative minimum disappears.  The curve is sampled at grid_size (an
     integer >= 3) points of [-1, 1]; extrema are located exactly (roots of
-    s = tanh(beta1*s + c)), not from the sampled grid.
+    s = tanh(beta1*s + c)), not from the sampled grid.  Values past the
+    float range raise ValueError naming w_s, beta1 and c.
     """
     grid_size = _size("grid_size", grid_size, least=3)
     b1 = params.beta1
     grid = np.linspace(-1.0, 1.0, grid_size)
-    if b1 > 0:
-        u = params.w_s * (0.5 * grid**2
-                          - np.array([_log_cosh(b1 * s + c) for s in grid]) / b1)
-    else:
-        # beta1 -> 0 limit: ln cosh(beta1*s + c)/beta1 -> s*tanh(c) + const.
-        u = params.w_s * (0.5 * grid**2 - grid * math.tanh(c))
     extrema = [(s, "min" if kind == STABLE else "max")
                for s, kind in equilibria_1d(b1, c)]
+
+    def values():
+        if b1 > 0:
+            return params.w_s * (0.5 * grid**2 - np.array(
+                [_log_cosh(b1 * s + c) for s in grid]) / b1)
+        # beta1 -> 0 limit: ln cosh(beta1*s + c)/beta1 -> s*tanh(c) + const.
+        return params.w_s * (0.5 * grid**2 - grid * math.tanh(c))
+
+    u = _finite("sentiment potential in w_s, beta1 and the tilt c "
+                "overflows", values)
     return PotentialCurve(s_grid=grid, u_values=u, extrema=extrema)
 
 

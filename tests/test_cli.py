@@ -92,9 +92,11 @@ def h_file(tmp_path):
 
 
 def _edited(**fields):
-    """MAIN_TEXT with the named fields set to new values."""
+    """MAIN_TEXT with the named fields set to new values; a field that
+    MAIN_TEXT leaves out is appended."""
     lines = (line.split(" = ") for line in MAIN_TEXT.splitlines())
-    return "".join(f"{k} = {fields.get(k, v)}\n" for k, v in lines)
+    text = "".join(f"{k} = {fields.pop(k, v)}\n" for k, v in lines)
+    return text + "".join(f"{k} = {v}\n" for k, v in fields.items())
 
 
 def read_report(path):
@@ -298,7 +300,7 @@ for argv, name in {cases!r}:
      ["(w_s*N_s + w_h*N_h) * horizon * realizations = 5e+16 * 2 * 1"]),
     (SPIN_TEXT.replace("J11 = 0.8", "J11 = -1e300"),
      ["glauber", "meanfield", "--horizon", "2", "--realizations", "1"],
-     ["1e+06 right-hand-side calls at t = 0.69", "w_s", "theta", "J11"]),
+     ["integration stalled at t = 0.69", "w_s", "theta", "J11"]),
 ], ids=["substeps", "flip-rate", "rate-equation"])
 def test_calls_that_ran_for_ever_exit_by_name(tmp_path, text, argv, named):
     # 10**15 RK4 substeps a day, about 10**17 flips, and a rate-equation
@@ -882,8 +884,12 @@ def test_stats_on_an_overflowing_range_name_it(tmp_path, capsys, task,
      "log price in a1, a2, a4 and s_star overflows"),
     (["simulate-theory", "--horizon", "50"], dict(a2="1e308", s_star="-1"),
      "log price's slow channel in a2, s_star and a4 overflows"),
+    (["analyze", "potential"], dict(beta1="1e-300", beta2="1e10",
+                                    h_bar="1e10"),
+     "sentiment potential in w_s, beta1 and the tilt c overflows"),
 ], ids=["heatmap-kappa", "heatmap-w_s", "thresholds-delta",
-        "thresholds-beta2", "empirical-price", "theory-slow-channel"])
+        "thresholds-beta2", "empirical-price", "theory-slow-channel",
+        "potential"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_output_names_its_fields(tmp_path, capsys, h_file,
                                                 argv, fields, named):

@@ -3,6 +3,7 @@ and the deterministic (rate-equation) limit."""
 
 import dataclasses
 import math
+import re
 import sys
 
 import numpy as np
@@ -790,6 +791,41 @@ def test_rk45_fails_like_solve_ivp_when_ten_spacings_exceed_the_step():
                       [1.0, 1.0], span)
     assert str(ours.value) == (
         f"rate-equation integration failed: {sol.message}")
+
+
+def test_rk45_lets_an_even_paced_stiff_solve_through_its_windows():
+    # the stiff corner of the property domain above: about 300 calls per
+    # time unit, so this solve passes the stall check twice
+    cfg = SpinSystemConfig(N_s=100, N_h=50, J11=-3.0, J22=-3.0, theta=0.1,
+                           w_s=5.0, w_h=5.0)
+    assert_rk45_is_solve_ivp(cfg, 100.0, [1.0, 1.0], np.arange(101.0))
+
+
+def test_rk45_stops_a_stalled_solve_within_two_windows():
+    # at beta*J11 = -1e300 the drift of s is a sign function, and from
+    # t = ln 2, where s reaches 0, the steps chatter across it: the solve
+    # spent all 10**6 calls (about 7 s) before it gave up at t = 0.69317
+    cfg = SpinSystemConfig(N_s=50, N_h=10, J11=-1e300, J12=0.2, J21=1.0,
+                           J22=0.1)
+    times = []
+
+    def rhs(t, y):
+        times.append(t)
+        return _meanfield_rhs(t, y, cfg)
+
+    with pytest.raises(RuntimeError, match=r"stalled at t = 0\.69314.* "
+                       r"over 100 times .* check w_s, w_h, theta"):
+        glauber._rk45(rhs, (0.0, 2.0), [1.0, 1.0], np.arange(3.0))
+    assert len(times) <= 2 * glauber._RK45_WINDOW
+
+
+def test_rk45_keeps_its_call_budget(monkeypatch):
+    # a budget below the first window: the hard cap, not the stall rule
+    monkeypatch.setattr(glauber, "_RK45_MAX_CALLS", 600)
+    with pytest.raises(RuntimeError, match=re.escape(
+            "used up its 6e+02 right-hand-side calls at t = ")):
+        glauber._rk45(lambda t, y: _meanfield_rhs(t, y, CRITERION_4),
+                      (0.0, 500.0), [1.0, 1.0], np.arange(501.0))
 
 
 def test_meanfield_compare_reaches_a_grid_point_past_the_horizon():

@@ -247,6 +247,41 @@ def test_oscillator_reduction_domain():
         oscillator_reduction(1.0, 0.0, MAIN)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_oscillator_reduction_names_an_overflow():
+    # the three coefficients came back (nan, -inf, -1.24375e+308)
+    pars = MAIN.replace(beta1=1e308, beta2=1e308, gamma=1e308)
+    with pytest.raises(ValueError, match="oscillator reduction in beta1, "
+                       "beta2, gamma, delta, w_s and w_h overflows the "
+                       "float range"):
+        oscillator_reduction(0.5, 0.0, pars)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_delta_critical_asymptotic_is_finite_or_named():
+    # beta1**1.5 overflowed into a bare OverflowError though the value is
+    # representable, and a subnormal beta2 returned inf
+    assert delta_critical_asymptotic(1e308, 1e-308) == pytest.approx(
+        2.0 / 3e-308, rel=1e-15)
+    with pytest.raises(ValueError, match="asymptotic critical bias in beta1 "
+                       "and beta2 overflows the float range"):
+        delta_critical_asymptotic(2.0, 1e-320)
+
+
+@given(x=st.floats(min_value=1e-300, max_value=1e300),
+       scale=st.floats(min_value=1e-3, max_value=1e3),
+       s_star=st.floats(min_value=-0.99, max_value=0.99))
+@example(x=1e300, scale=1.0, s_star=0.0)
+def test_gamma_thresholds_are_non_decreasing(x, scale, s_star):
+    # with beta1 = 0 and w_h = 1, x = (w_s/w_h)*(1 - beta1*(1 - s*^2)) is
+    # w_s, and beta2 = scale/x keeps the denominator near scale; past x of
+    # about 1e31 the three quotients rounded out of order
+    pars = MAIN.replace(w_s=x, w_h=1.0, beta1=0.0, beta2=scale / x,
+                        delta=0.0)
+    g1, g2, g3 = gamma_thresholds(s_star, pars)
+    assert g1 <= g2 <= g3
+
+
 def test_integrate_autonomous_shapes_and_errors():
     s, h = integrate_autonomous(MAIN, MarketState(0.9, 0.0), 50)
     assert len(s) == len(h) == 50

@@ -114,6 +114,17 @@ INPUTS = {
     "pinned.txt": (MAIN.replace("beta1 = 1.1", "beta1 = 7057989524665945")
                    .replace("beta2 = 0.55", "beta2 = 1.0")
                    + "h_bar = -7057989524665925\n"),
+    # a potential past the float range (tilt c = 1e20 over beta1 = 1e-300)
+    "flat_tilt.txt": (MAIN.replace("beta1 = 1.1", "beta1 = 1e-300")
+                      .replace("beta2 = 0.55", "beta2 = 1e10")
+                      + "h_bar = 1e10\n"),
+    # x = (w_s/w_h)*(1 - beta1*(1 - s*^2)) = 1e300: thresholds that round
+    # together
+    "huge_x.txt": (MAIN.replace("w_s = 0.04", "w_s = 1e300")
+                   .replace("w_h = 0.4", "w_h = 1.0")
+                   .replace("beta1 = 1.1", "beta1 = 0.0")
+                   .replace("beta2 = 0.55", "beta2 = 1e-300")
+                   .replace("delta = 0.03", "delta = 0.0")),
 }
 
 CALLS = [
@@ -208,6 +219,8 @@ CALLS = [
     "stats lowpass --input spike.csv --min-period 1 --out lowpass_spike.csv",
     "simulate-theory --params main.txt --horizon 50 --init-h 0.1 "
     "--out init_h",
+    "analyze potential --params flat_tilt.txt --grid 51 --out err29.csv",
+    "analyze thresholds --params huge_x.txt --out thresholds_huge_x.csv",
 ]
 
 
