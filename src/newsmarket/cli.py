@@ -26,10 +26,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .core import (FULL, SIMPLIFIED, MarketState, RandomSource,
-                   _PARAM_FIELDS, _SUBSTEPS, _count, _fields_line, _finite,
-                   _fmt, _length, _load_record, _size, _write_report,
-                   _write_table, load_params, read_series, write_series)
+from .core import (FULL, SIMPLIFIED, MarketState, RandomSource, _PARAM_FIELDS,
+                   _SUBSTEPS, _count, _fields_line, _finite, _fmt, _length,
+                   _load_record, _size, _streams, _write_report, _write_table,
+                   load_params, read_series, write_series)
 
 __all__ = ["main"]
 
@@ -129,7 +129,7 @@ def cmd_analyze(args) -> None:
     elif args.task == "thresholds":
         rows = []
         for pt in phase.find_equilibria(params):
-            if params.beta1 * (1.0 - pt.s_star_pt ** 2) >= 1.0:
+            if phase._psi_phi_eta(pt.s_star_pt, params)[0] <= 0.0:
                 continue                      # saddle branch: no thresholds
             g = phase.gamma_thresholds(pt.s_star_pt, params)
             rows.append((pt.branch, pt.s_star_pt, *g))
@@ -204,12 +204,11 @@ def cmd_glauber(args) -> None:
         H=config.N_h if args.init_H is None else args.init_H)
 
     if args.task == "trajectory":
-        n = _size("realizations", args.realizations)
+        n, streams = _streams("realizations", args.realizations, rng)
         out = Path(args.out)
         if n > 1:
             out.mkdir(parents=True, exist_ok=True)
-        runs = _runs(config, args.horizon,
-                     [rng.substream(i) for i in range(n)], init,
+        runs = _runs(config, args.horizon, n, streams, init,
                      args.sample_step)
         for i, traj in enumerate(runs):
             path, extra = ((out, []) if n == 1 else

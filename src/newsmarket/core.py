@@ -163,6 +163,13 @@ def _size(name: str, value, least: int = 1) -> int:
                    f"{name} = {value} is too large for an array")
 
 
+def _streams(name: str, n, rng: "RandomSource"):
+    """(_size(name, n), a lazy map to realization i's rng.substream(i)):
+    a call refused before it takes a stream makes none."""
+    n = _size(name, n)
+    return n, map(rng.substream, range(n))
+
+
 # The work budget of _work, in elementary steps.
 _MAX_WORK = 10**9
 

@@ -49,7 +49,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import _MIN_THETA, RandomSource, _count, _length, _size, _work
+from .core import _MIN_THETA, RandomSource, _count, _length, _streams, _work
 
 __all__ = [
     "SpinSystemConfig",
@@ -298,13 +298,13 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     they are read at the last event time and held until the next event,
     which approximates the time-varying chain (exact for constants only).
     """
-    return next(_runs(config, horizon, [rng], init, sample_step))
+    return next(_runs(config, horizon, 1, [rng], init, sample_step))
 
 
-def _runs(config, horizon, rngs, init, sample_step):
-    """simulate_glauber's trajectory on each stream in rngs, with the checks,
-    the rates, the sampling grid and the constant-field rate table (whose
-    floats depend on (S, H) alone) set up once for all of them."""
+def _runs(config, horizon, n, rngs, init, sample_step):
+    """simulate_glauber's trajectory on each of the n streams in rngs (n
+    charged to the work budget first), with the checks, the rates, the
+    grid and the constant-field rate table set up once for all of them."""
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     if sample_step is not None and not 0 < sample_step < math.inf:
@@ -314,9 +314,9 @@ def _runs(config, horizon, rngs, init, sample_step):
     _check_state(init, config)
     # the total flip rate is at most w_s*N_s + w_h*N_h
     flips = config.w_s * config.N_s + config.w_h * config.N_h
-    _work(flips * horizon * len(rngs),
+    _work(flips * horizon * n,
           f"(w_s*N_s + w_h*N_h) * horizon * realizations = {flips:.6g} * "
-          f"{horizon:.6g} * {len(rngs)}")
+          f"{horizon:.6g} * {n}")
 
     rates = _make_rates(config)
     if sample_step is not None:
@@ -459,10 +459,8 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     if sample_step is None:
         raise ValueError("meanfield_compare needs a sample_step: runs "
                          "sampled per event cannot be averaged")
-    n_realizations = _size("n_realizations", n_realizations)
-    runs = list(_runs(config, horizon,
-                      [rng.substream(i) for i in range(n_realizations)],
-                      init, sample_step))
+    n, streams = _streams("n_realizations", n_realizations, rng)
+    runs = list(_runs(config, horizon, n, streams, init, sample_step))
     times = runs[0].times
     mean_s = np.mean([r.s for r in runs], axis=0)
     mean_h = np.mean([r.h for r in runs], axis=0)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .core import (_BOUND_SLACK, _MIN_THETA, _SUBSTEPS, FULL, SIMPLIFIED,
                    MarketState, ModelParams, RandomSource, Series, _count,
-                   _finite, _fixed_steps, _left_box, _size)
+                   _finite, _fixed_steps, _left_box, _size, _streams)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -260,7 +260,7 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
     variable unless passed explicitly; results are identical for any
     worker count.
     """
-    n_realizations = _size("n_realizations", n_realizations)
+    n, streams = _streams("n_realizations", n_realizations, rng)
     name = "workers"
     if workers is None:
         name, env = _WORKERS_ENV, os.environ.get(_WORKERS_ENV, "1")
@@ -273,8 +273,7 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
     run = partial(simulate, params, init, horizon, substeps,
                   theta_profile=theta_profile, mode=mode,
                   beta1_shift=beta1_shift)
-    streams = [rng.substream(i) for i in range(n_realizations)]
-    if workers > 1 and n_realizations > 1:
+    if workers > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:

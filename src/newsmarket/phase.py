@@ -243,11 +243,12 @@ def gamma_thresholds(s_star_pt: float, params: ModelParams):
     """
     if not abs(s_star_pt) <= 1.0:
         raise ValueError(f"s_star_pt must lie in [-1, 1], got {s_star_pt}")
-    one_m = 1.0 - s_star_pt * s_star_pt
-    x = (params.w_s / params.w_h) * (1.0 - params.beta1 * one_m)
-    if x <= 0.0:
+    psi = _psi_phi_eta(s_star_pt, params)[0]
+    if psi <= 0.0:
         raise ValueError("saddle branch: beta1*(1 - s*^2) >= 1 has no "
                          "node/focus transitions")
+    one_m = 1.0 - s_star_pt * s_star_pt
+    x = (params.w_s / params.w_h) * psi
     num = _finite("gamma thresholds' numerator w_s*beta2*(1 - s*^2) "
                   "overflows", lambda: params.w_s * params.beta2 * one_m)
     if num <= 0.0:

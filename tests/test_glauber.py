@@ -404,7 +404,7 @@ def test_every_realization_of_one_call_is_its_own_simulate_glauber(
     with pytest.MonkeyPatch.context() as mp:
         if cache_size is not None:
             mp.setattr(glauber, "_RATE_CACHE", cache_size)
-        runs = list(glauber._runs(config, horizon,
+        runs = list(glauber._runs(config, horizon, 3,
                                   [rng.substream(i) for i in range(3)],
                                   init, sample_step))
         if sample_step is not None:
@@ -426,7 +426,7 @@ def test_every_realization_of_one_call_is_its_own_simulate_glauber(
 
 @pytest.mark.parametrize("sample_step", [None, 0.5])
 def test_the_runs_of_one_call_own_their_times(sample_step):
-    runs = list(glauber._runs(DB, 10.0, [RandomSource(0).substream(i)
+    runs = list(glauber._runs(DB, 10.0, 3, [RandomSource(0).substream(i)
                                          for i in range(3)],
                               None, sample_step))
     first = runs[1].times.copy()
