@@ -33,16 +33,13 @@ def _lag_samples(series: Series, days: float, name: str) -> int:
     return int(round(lag))
 
 
-def _spread(x: np.ndarray, name: str, fourth: bool = False) -> float:
-    """x's second central moment (np.var(x), the same float; its fourth
-    with fourth=True), checked by core._finite and named `name` there:
-    the overflow check of every statistic that squares deviations, which
-    would otherwise come out inf or nan."""
-    def moment(x):
-        d2 = (x - np.mean(x))**2
-        return float(np.mean(d2 * d2 if fourth else d2))
-    order = "fourth" if fourth else "second"
-    return _finite(f"{name}: {order} central moment overflows", moment, x)
+def _spread(x: np.ndarray, name: str) -> float:
+    """x's second central moment (np.var(x), the same float), checked by
+    core._finite and named `name` there: the overflow check of every
+    statistic that squares deviations, which would otherwise come out inf
+    or nan."""
+    return _finite(f"{name}: second central moment overflows",
+                   lambda x: float(np.mean((x - np.mean(x))**2)), x)
 
 
 def _shifted_start(series: Series, shift: float, names: str) -> float:
@@ -70,21 +67,24 @@ def log_returns(p: Series, horizon_days: int) -> Series:
     return Series(vals, start_index=start, step=p.step)
 
 
-def _shape_moments(x: np.ndarray) -> tuple:
-    """(skewness, excess_kurtosis) of x by the biased moment ratios.
-
-    The operations are scipy.stats.skew and kurtosis(bias=True)'s, in
-    their order, so the results are bitwise equal to theirs.  A sample
-    that _check_variance finds constant to float precision raises
-    ValueError.
-    """
-    mean = np.mean(x, keepdims=True)
-    d = x - mean
-    d2 = d**2
-    m2 = np.mean(d2)
-    _check_variance(m2, mean[0])
-    return (float(np.mean(d2 * d) / m2**1.5),
-            float(np.mean(d2**2) / m2**2.0 - 3))
+def _moments(x: np.ndarray, order: str = "fourth") -> tuple:
+    """(mean, variance, m2, m3, m4) of x in one pass over its deviations:
+    the n - 1 variance and central moments m_k by the operations of
+    np.mean, np.var(ddof=1) and scipy.stats.skew and kurtosis(bias=True),
+    in their order, so each float is theirs.  Order "second" stops at m2.
+    core._finite checks the `order` central moment's sums; a sample that
+    _check_variance finds constant to float precision raises ValueError."""
+    def sums(x):
+        mean = np.mean(x)
+        d = x - mean
+        d2 = d**2
+        shape = [np.mean(d2 * d), np.mean(d2**2)] if order == "fourth" else []
+        return np.array([mean, np.sum(d2), *shape])
+    mean, s2, *shape = _finite(f"returns: {order} central moment overflows",
+                               sums, x)
+    m2 = s2 / len(x)
+    _check_variance(m2, mean)
+    return mean, s2 / (len(x) - 1), m2, *shape
 
 
 def _check_variance(m2: float, mean: float) -> None:
@@ -109,12 +109,12 @@ def distribution_stats(returns: Series, normalize: bool = False):
     if len(returns) < 30:
         raise ValueError("need at least 30 samples for stable moments")
     x = returns.values
-    m = _spread(x, "returns", fourth=not normalize)
     if normalize:
-        mean = np.mean(x)
-        _check_variance(m, mean)
-        x = (x - mean) / math.sqrt(float(np.var(x, ddof=1)))
-    return (float(np.mean(x)), float(np.var(x, ddof=1)), *_shape_moments(x))
+        mean, var, _ = _moments(x, "second")
+        x = (x - mean) / math.sqrt(var)
+    mean, var, m2, m3, m4 = _moments(x)
+    return (float(mean), float(var), float(m3 / m2**1.5),
+            float(m4 / m2**2.0 - 3))
 
 
 def autocorrelation(x: Series, max_lag: int) -> list:

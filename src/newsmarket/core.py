@@ -98,8 +98,10 @@ class ModelParams:
 
     @property
     def c(self) -> float:
-        """Potential-tilt constant beta2 * h_bar (empirical mode)."""
-        return self.beta2 * self.h_bar
+        """Potential-tilt constant beta2 * h_bar (empirical mode); one past
+        the float range raises ValueError naming beta2*h_bar."""
+        return _finite("tilt c = beta2*h_bar overflows",
+                       lambda: self.beta2 * self.h_bar)
 
     def __post_init__(self):
         rates = [f"{name} must be positive" for name in ("w_s", "w_h")
@@ -163,7 +165,7 @@ def _size(name: str, value, least: int = 1) -> int:
                    f"{name} = {value} is too large for an array")
 
 
-def _streams(name: str, n, rng: "RandomSource"):
+def _streams(name: str, n, rng: RandomSource):
     """(_size(name, n), a lazy map to realization i's rng.substream(i)):
     a call refused before it takes a stream makes none."""
     n = _size(name, n)
@@ -177,8 +179,9 @@ _MAX_WORK = 10**9
 def _work(work, expr: str) -> None:
     """Reject a call whose work, the `expr` of the flags or fields that set
     it, exceeds _MAX_WORK = 10**9 elementary steps: the RK4 substeps of one
-    fixed-step realization (days * substeps), or the bound on a Glauber
-    call's expected events (flip rate bound * horizon * realizations).
+    fixed-step realization (days * substeps) or of an ensemble's
+    (realizations * days * substeps), or the bound on a Glauber call's
+    expected events (flip rate bound * horizon * realizations).
     A loop that large would run for hours (a count such as substeps =
     10**15 for ever); it raises ValueError naming expr instead."""
     if not work <= _MAX_WORK:

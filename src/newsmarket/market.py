@@ -30,7 +30,8 @@ import numpy as np
 
 from .core import (_BOUND_SLACK, _MIN_THETA, _SUBSTEPS, FULL, SIMPLIFIED,
                    MarketState, ModelParams, RandomSource, Series, _count,
-                   _finite, _fixed_steps, _left_box, _size, _streams)
+                   _finite, _fixed_steps, _left_box, _size, _streams,
+                   _work)
 from .pricing import price_from_sentiment
 
 __all__ = [
@@ -253,7 +254,9 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
              substeps: int = _SUBSTEPS, beta1_shift: float = 0.0,
              workers: int | None = None):
     """Run n_realizations (an integer >= 1) of simulate; realization i
-    runs on rng.substream(i).
+    runs on rng.substream(i).  The RK4 substeps of all of them,
+    n_realizations * horizon_days * substeps, may not exceed
+    core._MAX_WORK = 10**9.
 
     Returns (mean sentiment Series, list of SimulationRun).  Worker count
     (an integer >= 1) comes from the NEWSMARKET_WORKERS environment
@@ -270,6 +273,10 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
             raise ValueError(f"{_WORKERS_ENV} must be an integer, "
                              f"got {env!r}") from None
     workers = _count(name, workers)
+    days = _size("horizon_days", horizon)
+    steps = _fixed_steps(params, "horizon_days", days, substeps)
+    _work(n * days * steps, "n_realizations * horizon_days * substeps = "
+          f"{n} * {days} * {steps}")
     run = partial(simulate, params, init, horizon, substeps,
                   theta_profile=theta_profile, mode=mode,
                   beta1_shift=beta1_shift)

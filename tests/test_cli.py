@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from newsmarket import analytics, phase
@@ -887,9 +887,11 @@ def test_stats_on_an_overflowing_range_name_it(tmp_path, capsys, task,
     (["analyze", "potential"], dict(beta1="1e-300", beta2="1e10",
                                     h_bar="1e10"),
      "sentiment potential in w_s, beta1 and the tilt c overflows"),
+    (["analyze", "potential"], dict(beta2="1e300", h_bar="1e300"),
+     "tilt c = beta2*h_bar overflows"),
 ], ids=["heatmap-kappa", "heatmap-w_s", "thresholds-delta",
         "thresholds-beta2", "empirical-price", "theory-slow-channel",
-        "potential"])
+        "potential", "potential-tilt"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_an_overflowing_output_names_its_fields(tmp_path, capsys, h_file,
                                                 argv, fields, named):
@@ -912,6 +914,43 @@ def test_stats_lowpass_rejects_a_nan_period(tmp_path, capsys):
                  "nan", "--out", str(out)])
     assert code == 1 and not out.exists()
     assert "min_period_days" in capsys.readouterr().err
+
+
+# delta within 40 ulps of the fold, where the saddle test by libm's pow,
+# beta1*(1 - s**2) >= 1, and psi = 1 - beta1*(1 - s*s) disagreed: at the
+# first example `analyze equilibria` called s_minus a saddle and
+# thresholds exited 1 with "saddle branch"; the second left out the
+# s_minus row of an unstable node
+@given(beta1=st.floats(1.01, 3.0), beta2=st.floats(0.2, 2.0),
+       ulps=st.integers(-40, 40))
+@example(beta1=2.8780598834968814, beta2=1.9427836502873443, ulps=0)
+@example(beta1=1.783757976226252, beta2=1.1368747058603559, ulps=1)
+@settings(max_examples=100, deadline=None)
+def test_analyze_thresholds_skips_exactly_the_points_psi_calls_saddles(
+        tmp_path_factory, beta1, beta2, ulps):
+    try:
+        critical = phase.delta_critical(beta1, beta2)
+    except ValueError:
+        assume(False)
+    f = tmp_path_factory.mktemp("fold") / "params.txt"
+    f.write_text(_edited(beta1=repr(beta1), beta2=repr(beta2),
+                         delta=repr(critical + ulps * math.ulp(critical))))
+    params = load_params(f)
+    want = [(p.branch, p.s_star_pt) for p in phase.find_equilibria(params)
+            if phase._psi_phi_eta(p.s_star_pt, params)[0] > 0.0]
+    out = f.with_name("thresholds.csv")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["analyze", "thresholds", "--params", str(f),
+                     "--out", str(out)])
+    assert "saddle branch" not in err.getvalue()
+    if not want:
+        assert code == 1 and "no branch admits" in err.getvalue()
+        return
+    assert code == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()
+            if not line.startswith("#")][1:]
+    assert [(b, float(s)) for b, s, *_ in rows] == want
 
 
 def test_analyze_thresholds_without_a_stable_branch(tmp_path, capsys):

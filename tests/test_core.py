@@ -216,7 +216,10 @@ def test_counts_too_large_for_an_array_are_named(call, kwargs, name):
 
 # Every call whose arguments set the length of its loop: 10**15 substeps
 # or about 10**15 flips used to run for ever.  A meanfield horizon of
-# 10**15 is refused for its work before its grid is sized.
+# 10**15 is refused for its work before its grid is sized.  The test
+# cuts the budget to 1000 steps, so that an ensemble is refused for the
+# substeps of all its realizations (5 * 50 days * 8) without running
+# one at full size; each realization alone (400) is within it.
 _HUGE = 10 ** 15
 WORK_SITES = [
     (simulate, {**_SIM, "substeps": _HUGE},
@@ -236,15 +239,45 @@ WORK_SITES = [
                              rng=RandomSource(0)),
      "(w_s*N_s + w_h*N_h) * horizon * realizations = 6 * 1e+15 * 3 = "
      "1.8e+16"),
+    (ensemble, dict(params=_QUIET, init=_AT, horizon=50, n_realizations=5,
+                    rng=RandomSource(0)),
+     "n_realizations * horizon_days * substeps = 5 * 50 * 8 = 2000"),
 ]
 
 
 @pytest.mark.parametrize("call, kwargs, expr", WORK_SITES, ids=[
     call.__name__ for call, _, _ in WORK_SITES])
-def test_work_past_the_budget_is_refused_by_name(call, kwargs, expr):
+def test_work_past_the_budget_is_refused_by_name(call, kwargs, expr,
+                                                 monkeypatch):
+    monkeypatch.setattr(core, "_MAX_WORK", 1000)
     with pytest.raises(ValueError, match=re.escape(
-            f"{expr} exceeds the work budget of 1e+09 steps")):
+            f"{expr} exceeds the work budget of 1e+03 steps")):
         call(**kwargs)
+
+
+def test_a_call_its_budget_refuses_makes_no_stream(tmp_path, monkeypatch):
+    # every realization's substream used to be made before the budget
+    # was checked: 100,000 Glauber realizations took 1.8 s and 133 MB
+    # before their refusal
+    made = []
+    substream = RandomSource.substream
+    monkeypatch.setattr(RandomSource, "substream",
+                        lambda rng, i: made.append(i) or substream(rng, i))
+    spins = SpinSystemConfig(**_SPINS)
+    with pytest.raises(ValueError, match="work budget"):
+        meanfield_compare(spins, 1e15, 3, RandomSource(0))
+    f = tmp_path / "spins.txt"
+    f.write_text("N_s = 4\nN_h = 2\n")
+    assert cli.main(["glauber", "trajectory", "--params", str(f),
+                     "--horizon", "1e15", "--realizations", "3",
+                     "--out", str(tmp_path / "runs")]) == 1
+    monkeypatch.setattr(core, "_MAX_WORK", 1000)
+    with pytest.raises(ValueError, match="work budget"):
+        ensemble(_QUIET, _AT, 50, 5, RandomSource(0))
+    assert made == []
+    simulate_glauber(spins, 1.0, RandomSource(0))   # one stream, no fan-out
+    assert ensemble(_QUIET, _AT, 5, 2, RandomSource(0))[1][1].stream_id == 1
+    assert made == [0, 1]
 
 
 def test_the_work_budget_admits_its_limit():

@@ -188,6 +188,14 @@ def test_gamma_thresholds_saddle_branch_error():
         gamma_thresholds(mid.s_star_pt, MAIN)
 
 
+def test_gamma_thresholds_of_an_underflowing_rate_ratio_are_finite():
+    # w_s/w_h rounds to 0, which read as a saddle at a paramagnetic point
+    # (psi = 1 - beta1 = 0.5); x = 0 makes the three thresholds one value
+    pars = MAIN.replace(w_s=1e-200, w_h=1e200, beta1=0.5, delta=0.0)
+    g = gamma_thresholds(0.0, pars)
+    assert math.isfinite(g[0]) and g[0] == g[1] == g[2] > 0.0
+
+
 def test_gamma_thresholds_undefined_without_news_coupling():
     # beta2 = 0 keeps the s_plus branch off the saddle but removes the
     # feedback that gamma scales

@@ -6,13 +6,19 @@ block per call: the arguments, the exit status, the last stderr line and
 a sha256 of stdout when they are not empty.  Then it prints
 `sha256  path` for every file the calls wrote.  Paths are relative to
 the temporary directory, so two listings compare with `diff`; equal
-listings mean byte-identical CLI outputs.
+listings mean byte-identical CLI outputs.  The first line names the
+platform (Python, numpy, machine, libc), since libm and numpy can move
+last bits.
 
     python tools/cli_digests.py [SRC] > listing.txt
 
 SRC is the `src` directory of the checkout to run (default: the one next
 to this script), for instance an unpacked `git archive` of another
-commit.
+commit.  Each call runs as a `python -m newsmarket` subprocess.
+tests/test_listing.py runs the same calls in-process through
+`cli.main` and compares them with tests/cli_listing.txt, this script's
+output on the platform its first line names; a change that alters an
+output on purpose rewrites that file with this script.
 """
 
 from __future__ import annotations
@@ -20,10 +26,13 @@ from __future__ import annotations
 import hashlib
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 MAIN = """\
 w_s = 0.04
@@ -67,6 +76,12 @@ theta = 1.0
 w_s = 0.04
 w_h = 0.4
 """
+
+
+def _fold(beta1: float, beta2: float, delta: float) -> str:
+    return (MAIN.replace("beta1 = 1.1", f"beta1 = {beta1!r}")
+            .replace("beta2 = 0.55", f"beta2 = {beta2!r}")
+            .replace("delta = 0.03", f"delta = {delta!r}"))
 
 
 def _csv(name: str, values, header: bool = True) -> str:
@@ -125,6 +140,15 @@ INPUTS = {
                    .replace("beta1 = 1.1", "beta1 = 0.0")
                    .replace("beta2 = 0.55", "beta2 = 1e-300")
                    .replace("delta = 0.03", "delta = 0.0")),
+    # delta at (fold_a) and 1 ulp past (fold_b) delta_critical, where
+    # beta1*(1 - s**2) by libm's pow and psi by s*s disagreed on a saddle
+    "fold_a.txt": _fold(2.8780598834968814, 1.9427836502873443,
+                        0.7247594694873871),
+    "fold_b.txt": _fold(1.783757976226252, 1.1368747058603559,
+                        0.3520514830677309),
+    # a tilt c = beta2*h_bar past the float range
+    "huge_tilt.txt": (MAIN.replace("beta2 = 0.55", "beta2 = 1e300")
+                      + "h_bar = 1e300\n"),
 }
 
 CALLS = [
@@ -221,11 +245,50 @@ CALLS = [
     "--out init_h",
     "analyze potential --params flat_tilt.txt --grid 51 --out err29.csv",
     "analyze thresholds --params huge_x.txt --out thresholds_huge_x.csv",
+    "analyze thresholds --params fold_a.txt --out thresholds_fold_a.csv",
+    "analyze thresholds --params fold_b.txt --out thresholds_fold_b.csv",
+    "analyze potential --params huge_tilt.txt --grid 51 --out err30.csv",
+    # past a work budget over all realizations, refused before any
+    # realization's stream is made
+    "glauber trajectory --params spins.txt --horizon 2000 "
+    "--realizations 100000 --out err31",
+    "glauber meanfield --params spins.txt --horizon 2000 "
+    "--realizations 100000 --out err32.txt",
+    "simulate-theory --params main.txt --horizon 1000 "
+    "--realizations 200000 --out err33",
 ]
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def fingerprint() -> str:
+    """The platform a listing was taken on."""
+    return (f"python {platform.python_version()}, numpy {np.__version__}, "
+            f"machine {platform.machine()}, "
+            f"libc {' '.join(platform.libc_ver())}")
+
+
+def listing(tmp: Path, run) -> list:
+    """The listing of CALLS run in tmp, which holds INPUTS, as lines (the
+    fingerprint line aside); run(argv) returns the call's exit status,
+    stdout bytes and stderr text."""
+    lines = []
+    for call in CALLS:
+        code, out, err = run(call.split())
+        lines += [f"$ newsmarket {call}", f"exit {code}"]
+        err = err.strip().splitlines()
+        if err:
+            lines.append(f"stderr: {err[-1]}")
+        if out:
+            lines.append(f"stdout {_sha(out)}")
+    lines.append("")
+    for path in sorted(tmp.rglob("*")):
+        name = path.relative_to(tmp).as_posix()
+        if path.is_file() and name not in INPUTS:
+            lines.append(f"{_sha(path.read_bytes())}  {name}")
+    return lines
 
 
 def main(argv) -> int:
@@ -237,22 +300,15 @@ def main(argv) -> int:
         tmp = Path(tmp)
         for name, text in INPUTS.items():
             (tmp / name).write_text(text)
-        for call in CALLS:
+
+        def run(args):
             proc = subprocess.run(
-                [sys.executable, "-m", "newsmarket", *call.split()],
+                [sys.executable, "-m", "newsmarket", *args],
                 cwd=tmp, env=env, capture_output=True, timeout=300)
-            print(f"$ newsmarket {call}")
-            print(f"exit {proc.returncode}")
-            err = proc.stderr.decode().strip().splitlines()
-            if err:
-                print(f"stderr: {err[-1]}")
-            if proc.stdout:
-                print(f"stdout {_sha(proc.stdout)}")
-        print()
-        for path in sorted(tmp.rglob("*")):
-            name = path.relative_to(tmp).as_posix()
-            if path.is_file() and name not in INPUTS:
-                print(f"{_sha(path.read_bytes())}  {name}")
+            return proc.returncode, proc.stdout, proc.stderr.decode()
+
+        print(f"# fingerprint: {fingerprint()}")
+        print("\n".join(listing(tmp, run)))
     return 0
 
 
