@@ -298,13 +298,14 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     they are read at the last event time and held until the next event,
     which approximates the time-varying chain (exact for constants only).
     """
-    return next(_runs(config, horizon, 1, [rng], init, sample_step))
+    return next(_runs(config, horizon, 1, [rng], init, sample_step)[2])
 
 
 def _runs(config, horizon, n, rngs, init, sample_step):
-    """simulate_glauber's trajectory on each of the n streams in rngs (n
-    charged to the work budget first), with the checks, the rates, the
-    grid and the constant-field rate table set up once for all of them."""
+    """simulate_glauber's set-up for n runs, done at the call: the checks (n
+    charged to the work budget), the rates, the grid and the constant-field
+    rate table.  Returns the grid (None per event), the start (s, h) and a
+    lazy map of the trajectory on each stream of rngs."""
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     if sample_step is not None and not 0 < sample_step < math.inf:
@@ -319,6 +320,8 @@ def _runs(config, horizon, n, rngs, init, sample_step):
           f"{horizon:.6g} * {n}")
 
     rates = _make_rates(config)
+    cache = None if callable(config.b_s) or callable(config.b_h) else {}
+    grid = grid_t = None
     if sample_step is not None:
         ratio = horizon / sample_step
         n_samples = _length(ratio, f"sample_step {sample_step!r} is too "
@@ -341,6 +344,11 @@ def _runs(config, horizon, n, rngs, init, sample_step):
     k_max = 2 * ns * stride + 2 * nh
     index_type = np.int64 if k_max <= np.iinfo(np.int64).max else object
 
+    def decode(ks):
+        idx = np.array(ks, dtype=index_type)
+        return ((idx // stride - ns).astype(float) / ns,
+                (idx % stride - nh).astype(float) / nh)
+
     def partial_sums(k, t):
         S = k // stride - ns
         H = k % stride - nh
@@ -355,8 +363,9 @@ def _runs(config, horizon, n, rngs, init, sample_step):
                              f"finite: {_CHECK}")
         return r1, r12, r123, total
 
-    cache = None if callable(config.b_s) or callable(config.b_h) else {}
-    for rng in rngs:
+    # the loop's names are bound as defaults, read as fast as locals
+    def run(rng, cache=cache, partial_sums=partial_sums, grid_t=grid_t,
+            horizon=horizon, s_step=s_step, sample_step=sample_step):
         k, t, n_events = k0, 0.0, 0
         ts, ks = [0.0], [k]
         next_t = math.nan if sample_step is None else grid_t[1]
@@ -398,12 +407,9 @@ def _runs(config, horizon, n, rngs, init, sample_step):
             # i*sample_step can round just above the horizon, and past the
             # last waiting time; that point holds the final state
             ks.extend([k] * (n_samples - len(ks)))
-        idx = np.array(ks, dtype=index_type)
-        yield GlauberTrajectory(
-            times=times,
-            s=(idx // stride - ns).astype(float) / ns,
-            h=(idx % stride - nh).astype(float) / nh,
-            n_events=n_events, config=config)
+        return GlauberTrajectory(times, *decode(ks), n_events, config)
+
+    return grid, tuple(np.concatenate(decode([k0]))), map(run, rngs)
 
 
 def _meanfield_rhs(t, y, config):
@@ -454,22 +460,19 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
     matched times scale as N^(-1/2).  N_s, N_h >= 100 recommended for
     the comparison to be meaningful.  The rate equations are integrated
     by _rk45 (Dormand-Prince, rtol 1e-10, atol 1e-12) up to the horizon,
-    or to the last grid time where k*sample_step rounds past it.
+    or to the last grid time where k*sample_step rounds past it, before
+    any chain runs: a solve that fails costs no chain.
     """
     if sample_step is None:
         raise ValueError("meanfield_compare needs a sample_step: runs "
                          "sampled per event cannot be averaged")
     n, streams = _streams("n_realizations", n_realizations, rng)
-    runs = list(_runs(config, horizon, n, streams, init, sample_step))
-    times = runs[0].times
-    mean_s = np.mean([r.s for r in runs], axis=0)
-    mean_h = np.mean([r.h for r in runs], axis=0)
-
+    times, start, runs = _runs(config, horizon, n, streams, init,
+                               sample_step)
     ode = _rk45(lambda t, y: _meanfield_rhs(t, y, config),
-                (0.0, max(float(horizon), float(times[-1]))),
-                [runs[0].s[0], runs[0].h[0]], times)
-    dev_s = mean_s - ode[0]
-    dev_h = mean_h - ode[1]
+                (0.0, max(float(horizon), float(times[-1]))), start, times)
+    mean_s, mean_h = np.mean([(r.s, r.h) for r in runs], axis=0)
+    dev_s, dev_h = mean_s - ode[0], mean_h - ode[1]
     return MeanFieldReport(
         times=times, mean_s=mean_s, mean_h=mean_h,
         ode_s=ode[0], ode_h=ode[1],

@@ -107,7 +107,7 @@ def test_glauber_ensemble_tracks_the_full_mode_path():
                     mode=FULL)
     rng = RandomSource(11)
     trajs = list(_runs(config, float(days), runs,
-                       [rng.substream(i) for i in range(runs)], None, 1.0))
+                       [rng.substream(i) for i in range(runs)], None, 1.0)[2])
     mean_s = np.mean([r.s for r in trajs], axis=0)
     mean_h = np.mean([r.h for r in trajs], axis=0)
     gap = max(np.max(np.abs(mean_s - path.s.values)),

@@ -406,7 +406,7 @@ def test_every_realization_of_one_call_is_its_own_simulate_glauber(
             mp.setattr(glauber, "_RATE_CACHE", cache_size)
         runs = list(glauber._runs(config, horizon, 3,
                                   [rng.substream(i) for i in range(3)],
-                                  init, sample_step))
+                                  init, sample_step)[2])
         if sample_step is not None:
             report = meanfield_compare(config, horizon, 3, rng, init,
                                        sample_step)
@@ -428,7 +428,7 @@ def test_every_realization_of_one_call_is_its_own_simulate_glauber(
 def test_the_runs_of_one_call_own_their_times(sample_step):
     runs = list(glauber._runs(DB, 10.0, 3, [RandomSource(0).substream(i)
                                          for i in range(3)],
-                              None, sample_step))
+                              None, sample_step)[2])
     first = runs[1].times.copy()
     runs[0].times[:] = -1.0
     assert np.array_equal(runs[1].times, first)
