@@ -49,7 +49,8 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import _MIN_THETA, RandomSource, _count, _length, _streams, _work
+from .core import (_MIN_THETA, RandomSource, _count, _finite, _length,
+                   _streams, _work)
 
 __all__ = [
     "SpinSystemConfig",
@@ -76,8 +77,13 @@ _CHECK = ("check w_s, w_h, theta, the couplings J11, J12, J21, J22, mu_s, "
 _RATE_CACHE = 4096
 
 
-def _eval_field(field, t):
-    return field(t) if callable(field) else field
+def _fields(config, t):
+    """(b_s, b_h) at t; ValueError names a field that is not finite there."""
+    fields = [f(t) if callable(f) else f for f in (config.b_s, config.b_h)]
+    for name, b in zip(("b_s", "b_h"), fields):
+        if not math.isfinite(b):
+            raise ValueError(f"field {name} at t = {t} is {b}, not finite")
+    return fields
 
 
 def _pairs(rng):
@@ -217,8 +223,7 @@ def transition_rates(state: SpinMacroState, config: SpinSystemConfig,
                      t: float = 0.0):
     """Rates for S -> S+2, S -> S-2, H -> H+2, H -> H-2 at time t."""
     _check_state(state, config)
-    return _make_rates(config)(state.S, state.H, _eval_field(config.b_s, t),
-                               _eval_field(config.b_h, t))
+    return _make_rates(config)(state.S, state.H, *_fields(config, t))
 
 
 def _log_binomials(n: int) -> np.ndarray:
@@ -233,11 +238,11 @@ def equilibrium_distribution(config: SpinSystemConfig, t: float = 0.0):
     Returns (S_values, H_values, P) with P[i, j] the probability of
     (S_values[i], H_values[j]); P sums to 1.  Time-dependent fields are
     evaluated at t (the instantaneous equilibrium).  The log-weights take
-    their multiplicities from math.lgamma; shifted by their maximum, they
-    are exponentiated and divided by their sum.  P agrees with the
-    weights of scipy's gammaln and logsumexp to a few roundings of the
-    log-factorials (relative gaps of 3e-15 at N_s = 8, 4e-13 at N_s =
-    200), not bit for bit.
+    their multiplicities from math.lgamma; shifted by their maximum (a
+    ValueError if that overflows), they are exponentiated and divided by
+    their sum.  P agrees with the weights of scipy's gammaln and logsumexp
+    to a few roundings of the log-factorials (relative gaps of 3e-15 at
+    N_s = 8, 4e-13 at N_s = 200), not bit for bit.
     """
     ns, nh = config.N_s, config.N_h
     S = np.arange(-ns, ns + 1, 2, dtype=float)
@@ -245,16 +250,18 @@ def equilibrium_distribution(config: SpinSystemConfig, t: float = 0.0):
     js = config.J11 / ns
     jsh = config.J12 / nh
     jh = config.J22 / nh
-    bs = _eval_field(config.b_s, t)
-    bh = _eval_field(config.b_h, t)
-    energy = (-0.5 * js * S[:, None] ** 2
-              - jsh * S[:, None] * H[None, :]
-              - config.mu_s * bs * S[:, None]
-              - 0.5 * jh * H[None, :] ** 2
-              - config.mu_h * bh * H[None, :])
-    ln_p = (_log_binomials(ns)[:, None] + _log_binomials(nh)[None, :]
-            - energy / config.theta)
-    p = np.exp(ln_p - ln_p.max())
+    bs, bh = _fields(config, t)
+
+    def weights():
+        energy = (-0.5 * js * S[:, None] ** 2
+                  - jsh * S[:, None] * H[None, :]
+                  - config.mu_s * bs * S[:, None]
+                  - 0.5 * jh * H[None, :] ** 2
+                  - config.mu_h * bh * H[None, :])
+        ln_p = (_log_binomials(ns)[:, None] + _log_binomials(nh)[None, :]
+                - energy / config.theta)
+        return np.exp(ln_p - ln_p.max())
+    p = _finite("P: the Gibbs log-weights ln C - E/theta overflow", weights)
     return S.astype(int), H.astype(int), p / p.sum()
 
 
@@ -352,8 +359,7 @@ def _runs(config, horizon, n, rngs, init, sample_step):
     def partial_sums(k, t):
         S = k // stride - ns
         H = k % stride - nh
-        r1, r2, r3, r4 = rates(S, H, _eval_field(config.b_s, t),
-                               _eval_field(config.b_h, t))
+        r1, r2, r3, r4 = rates(S, H, *_fields(config, t))
         r12 = r1 + r2
         r123 = r12 + r3
         total = r123 + r4
@@ -409,14 +415,13 @@ def _runs(config, horizon, n, rngs, init, sample_step):
             ks.extend([k] * (n_samples - len(ks)))
         return GlauberTrajectory(times, *decode(ks), n_events, config)
 
-    return grid, tuple(np.concatenate(decode([k0]))), map(run, rngs)
+    return grid, np.concatenate(decode([k0])), map(run, rngs)
 
 
 def _meanfield_rhs(t, y, config):
     s, h = y
     beta = 1.0 / config.theta
-    bs = _eval_field(config.b_s, t)
-    bh = _eval_field(config.b_h, t)
+    bs, bh = _fields(config, t)
     ds = -config.w_s * s + config.w_s * math.tanh(
         beta * (config.J11 * s + config.J12 * h + config.mu_s * bs))
     dh = -config.w_h * h + config.w_h * math.tanh(

@@ -317,6 +317,26 @@ def test_calls_that_ran_for_ever_exit_by_name(tmp_path, text, argv, named):
         assert name in proc.stderr
 
 
+@pytest.mark.parametrize("argv, named", [
+    (["--realizations", "100000", "--horizon", "2000"], "work budget"),
+    (["--realizations", "3", "--horizon", "1e8"], "work budget"),
+    (["--realizations", "3", "--horizon", "-1"], "horizon"),
+    (["--realizations", "3", "--horizon", "2", "--sample-step", "0"],
+     "sample_step"),
+    (["--realizations", "3", "--horizon", "2", "--init-S", "3"],
+     "S parity"),
+], ids=["budget-100000", "budget-3", "horizon", "sample-step", "init-S"])
+def test_a_refused_glauber_trajectory_creates_no_directory(
+        spin_file, tmp_path, capsys, argv, named):
+    # the run directory was made before the Glauber set-up ran, so each of
+    # these calls exited 1 and left it empty behind
+    out = tmp_path / "runs"
+    assert main(["glauber", "trajectory", "--params", str(spin_file),
+                 *argv, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("task", ["equilibria", "thresholds"])
 @pytest.mark.parametrize("field", ["beta1", "delta"])
 def test_analyze_with_a_huge_field_names_it_or_succeeds(tmp_path, capsys,

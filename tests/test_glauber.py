@@ -435,6 +435,42 @@ def test_the_runs_of_one_call_own_their_times(sample_step):
     assert not np.shares_memory(runs[0].times, runs[2].times)
 
 
+@pytest.mark.parametrize("horizon, init, sample_step, n, message", [
+    (-1.0, None, None, 3, "horizon must be positive"),
+    (math.inf, None, None, 3, "horizon must be positive"),
+    (10.0, None, 0.0, 3, "sample_step must be positive"),
+    (10.0, None, math.nan, 3, "sample_step must be positive"),
+    (10.0, SpinMacroState(3, 4), None, 3, "S parity does not match N_s"),
+    (10.0, SpinMacroState(10, 4), None, 3, r"\|S\| = 10 exceeds N_s = 8"),
+    (10.0, None, None, 10**8, "exceeds the work budget"),
+    (10.0, None, 1e-300, 3, "sample_step 1e-300 is too small"),
+], ids=["horizon", "horizon-inf", "sample-step", "sample-step-nan",
+        "parity", "bounds", "budget", "grid"])
+def test_the_set_up_refuses_at_the_call(horizon, init, sample_step, n,
+                                        message):
+    # the set-up once ran at the first run's first draw, so a caller had
+    # to start iterating to see a refusal
+    streams = map(RandomSource(0).substream, range(n))
+    with pytest.raises(ValueError, match=message):
+        glauber._runs(DB, horizon, n, streams, init, sample_step)
+
+
+def test_meanfield_compare_solves_before_any_chain_draws(monkeypatch):
+    # the chains ran first, so a solve that stalls failed only after all
+    # of them (14 s of chains on one long call)
+    blocks = []
+    pairs = glauber._pairs
+    monkeypatch.setattr(glauber, "_pairs",
+                        lambda rng: blocks.append(rng) or pairs(rng))
+    stalled = SpinSystemConfig(N_s=50, N_h=10, J11=-1e300, J12=0.2,
+                               J21=1.0, J22=0.1)
+    with pytest.raises(RuntimeError, match="integration stalled at t = "):
+        meanfield_compare(stalled, 2.0, 3, RandomSource(0))
+    assert blocks == []
+    meanfield_compare(DB, 2.0, 3, RandomSource(0))
+    assert len(blocks) == 3
+
+
 def counted_rates(monkeypatch):
     """Patch glauber._make_rates so that every rate evaluation is counted;
     returns the counter, a list of [rate evaluations, closures built]."""
@@ -522,8 +558,51 @@ def test_nan_field_raises_instead_of_hanging():
         return math.nan
 
     cfg = SpinSystemConfig(N_s=8, N_h=4, J11=1.0, mu_s=1.0, b_s=b_s)
-    with pytest.raises(ValueError, match="rate"):
+    with pytest.raises(ValueError, match="field b_s at t = 0.0 is nan"):
         simulate_glauber(cfg, 10.0, RandomSource(0))
+
+
+NAN_FIELD = SpinSystemConfig(N_s=4, N_h=2, mu_s=1.0, b_s=lambda t: math.nan)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: transition_rates(SpinMacroState(0, 0), NAN_FIELD),
+    lambda: equilibrium_distribution(NAN_FIELD),
+    lambda: meanfield_compare(NAN_FIELD, 2.0, 2, RandomSource(0)),
+    lambda: simulate_glauber(NAN_FIELD, 2.0, RandomSource(0)),
+], ids=["transition_rates", "equilibrium", "meanfield", "simulate"])
+def test_a_field_that_is_not_finite_is_named_with_its_time(call):
+    # transition_rates gave (nan, nan, 0.5, 0.5), equilibrium_distribution
+    # an all-NaN table, the rate-equation solve a stall at t = 0.0 and the
+    # chain "total flip rate nan", which named no field
+    with pytest.raises(ValueError, match=re.escape(
+            "field b_s at t = 0.0 is nan, not finite")):
+        call()
+
+
+def test_a_field_read_past_its_finite_span_is_named():
+    late = dataclasses.replace(NAN_FIELD, b_s=0.0,
+                               b_h=lambda t: math.inf if t > 0.5 else 0.0)
+    with pytest.raises(ValueError, match=r"^field b_h at t = (\S+) is inf, "
+                       r"not finite$") as exc:
+        simulate_glauber(late, 50.0, RandomSource(0))
+    assert float(re.search(r"t = (\S+) ", str(exc.value))[1]) > 0.5
+
+
+def test_overflowing_gibbs_log_weights_are_named():
+    # mu_s*b_s*S overflowed to +-inf and to inf*0 = nan: an all-NaN P
+    huge = SpinSystemConfig(N_s=4, N_h=2, mu_s=1e300, b_s=1e300)
+    with pytest.raises(ValueError, match=re.escape(
+            "P: the Gibbs log-weights ln C - E/theta overflow the float "
+            "range")):
+        equilibrium_distribution(huge)
+    # a log-weight of -inf is a weight of 0, not an overflow: E/theta past
+    # the float range on every state but S = 0 leaves P on S = 0 alone
+    cold = SpinSystemConfig(N_s=4, N_h=2, J11=-100.0,
+                            theta=2.2250738585072014e-308)
+    S, H, P = equilibrium_distribution(cold)
+    assert np.array_equal(P[S != 0], np.zeros((4, 3)))
+    np.testing.assert_allclose(P[S == 0], [[0.25, 0.5, 0.25]], atol=1e-15)
 
 
 def _counted_field():
@@ -767,14 +846,22 @@ def test_rk45_is_solve_ivp_on_constant_field_configs(j, fields, theta, rates,
 
 
 def test_rk45_fails_like_solve_ivp_when_the_step_collapses():
-    # a NaN field makes every step past t = 1 fail its error test, so the
-    # step shrinks below the spacing of the floats at t
-    cfg = SpinSystemConfig(N_s=100, N_h=10, J11=0.5, mu_s=1.0,
-                           b_s=lambda t: math.nan if t > 1.0 else 0.1)
-    sol, ours = rk45_pair(cfg, 5.0, [1.0, 1.0], np.arange(6.0))
+    # a right-hand side that is NaN past t = 1 makes every step there fail
+    # its error test, so the step shrinks below the spacing of the floats
+    # at t (a NaN field never gets there: _fields names it first)
+    cfg = SpinSystemConfig(N_s=100, N_h=10, J11=0.5, mu_s=1.0, b_s=0.1)
+
+    def fun(t, y):
+        return _meanfield_rhs(t, y, cfg) * (math.nan if t > 1.0 else 1.0)
+
+    times = np.arange(6.0)
+    sol = solve_ivp(fun, (0.0, 5.0), [1.0, 1.0], t_eval=times, rtol=1e-10,
+                    atol=1e-12)
     assert not sol.success
-    assert isinstance(ours, RuntimeError)
-    assert str(ours) == f"rate-equation integration failed: {sol.message}"
+    with pytest.raises(RuntimeError) as ours:
+        glauber._rk45(fun, (0.0, 5.0), [1.0, 1.0], times)
+    assert str(ours.value) == (
+        f"rate-equation integration failed: {sol.message}")
 
 
 def test_rk45_fails_like_solve_ivp_when_ten_spacings_exceed_the_step():
