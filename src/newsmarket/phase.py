@@ -33,9 +33,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_BOUND_SLACK, _SUBSTEPS, SIMPLIFIED, MarketState,
-                   ModelParams, Series, _count, _div_cosh2, _finite,
-                   _fixed_steps, _left_box, _size, validate)
+from .core import (_BOUND_SLACK, _ROOT_MAXITER, _SUBSTEPS, SIMPLIFIED,
+                   MarketState, ModelParams, Series, _count, _div_cosh2,
+                   _finite, _fixed_steps, _left_box, _size, _work, validate)
 from .market import _daily_path
 from .sentiment import equilibria_1d
 
@@ -178,12 +178,23 @@ def find_equilibria(params: ModelParams) -> list:
     their residual (about beta1 times the root tolerance) can exceed; a
     linearization that overflows (beta1 of order 1e150) raises as there.
     """
+    return _classified(*_roots(params), params)
+
+
+def _roots(params: ModelParams):
+    """(h*, [(s*, branch)]): h* = tanh(delta) and the branch-labelled
+    roots of s = tanh(beta1*s + beta2*h*), the part of find_equilibria
+    that reads only beta1, beta2 and delta."""
     h_star = math.tanh(params.delta)
-    c = params.beta2 * h_star
-    roots = equilibria_1d(params.beta1, c)
-    labels = _branch_labels([r for r, _ in roots], params.beta1)
-    return [_classify(r, h_star, params, lab)
-            for (r, _), lab in zip(roots, labels)]
+    roots = [r for r, _ in equilibria_1d(params.beta1,
+                                         params.beta2 * h_star)]
+    return h_star, list(zip(roots, _branch_labels(roots, params.beta1)))
+
+
+def _classified(h_star: float, roots, params: ModelParams) -> list:
+    """find_equilibria's points from _roots' (h*, roots), classified at
+    params."""
+    return [_classify(r, h_star, params, lab) for r, lab in roots]
 
 
 def _branch_labels(roots, beta1: float) -> list:
@@ -420,22 +431,31 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     {branch: class}), transitions lists (value_before, value_after,
     branch, class_before, class_after) for every branch whose class
     changed between adjacent grid values, with "absent" marking
-    appearance or disappearance.
+    appearance or disappearance.  Each row is find_equilibria at its
+    point; the roots are solved again only where beta1, beta2 or delta
+    changed, so a gamma sweep solves them once.  steps * 3 *
+    core._ROOT_MAXITER, the Brent iterations of three brackets a point,
+    must be within core._work's budget (steps up to about 3.3 million).
     """
     if sweep not in ("gamma", "beta2", "delta"):
         raise ValueError(f"cannot sweep {sweep!r}: pick gamma, beta2, "
                          "or delta")
     steps = _size("steps", steps, least=2)
+    _work(steps * 3 * _ROOT_MAXITER,
+          f"steps * 3 * {_ROOT_MAXITER} = {steps} * 3 * {_ROOT_MAXITER}")
     lo, hi = float(value_range[0]), float(value_range[1])
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{sweep} range must be finite, got {lo}:{hi}")
     # Each sweepable field is valid on [0, inf), so the ends cover the grid.
     for end in (lo, hi):
         validate(params.replace(**{sweep: end}))
-    rows = []
+    rows, key = [], None
     for v in np.linspace(lo, hi, steps).tolist():
-        pts = find_equilibria(params.replace(**{sweep: v}))
-        rows.append((v, {p.branch: p.stability for p in pts}))
+        p = params.replace(**{sweep: v})
+        if (p.beta1, p.beta2, p.delta) != key:
+            key, roots = (p.beta1, p.beta2, p.delta), _roots(p)
+        rows.append((v, {q.branch: q.stability
+                         for q in _classified(*roots, p)}))
     transitions = []
     for (v0, before), (v1, after) in zip(rows, rows[1:]):
         for branch in sorted(set(before) | set(after)):

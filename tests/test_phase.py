@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from newsmarket import phase
 from newsmarket.core import _BOUND_SLACK, MarketState, ModelParams
 from newsmarket.market import (SIMPLIFIED, _left_box, _make_drift, _rk4_step,
                                drift)
@@ -537,6 +538,84 @@ def test_bifurcation_sweep_errors():
                                ("delta", (-0.1, 0.0))):
         with pytest.raises(ValueError, match=f"{sweep} must be non-negative"):
             bifurcation_sweep(MAIN, sweep, value_range, 3)
+
+
+def _pointwise_sweep(params, sweep, value_range, steps):
+    """The reference sweep: find_equilibria at every grid point, with
+    bifurcation_sweep's transition bookkeeping copied unchanged."""
+    rows = []
+    for v in np.linspace(value_range[0], value_range[1], steps).tolist():
+        pts = find_equilibria(params.replace(**{sweep: v}))
+        rows.append((v, {p.branch: p.stability for p in pts}))
+    transitions = []
+    for (v0, before), (v1, after) in zip(rows, rows[1:]):
+        for branch in sorted(set(before) | set(after)):
+            c0 = before.get(branch, "absent")
+            c1 = after.get(branch, "absent")
+            if c0 != c1:
+                transitions.append((v0, v1, branch, c0, c1))
+    return rows, transitions
+
+
+def _sweep_or_error(sweep):
+    """repr of a sweep's (rows, transitions), or its error text."""
+    try:
+        return repr(sweep())
+    except ValueError as err:
+        return str(err)
+
+
+# ranges across the fold in beta2 and delta, and gamma ends past 1e304,
+# where the linearization overflows after the first grid point
+_SWEEP_ENDS = {
+    "gamma": st.one_of(st.floats(min_value=0.0, max_value=200.0),
+                       st.floats(min_value=1e304, max_value=1.7e305)),
+    "beta2": st.one_of(st.floats(min_value=0.0, max_value=3.0),
+                       st.just(-0.0)),
+    "delta": st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                       st.just(-0.0)),
+}
+
+
+@st.composite
+def _sweeps(draw):
+    sweep = draw(st.sampled_from(sorted(_SWEEP_ENDS)))
+    params = MAIN.replace(
+        beta1=draw(st.one_of(st.just(1.0),
+                             st.floats(min_value=0.0, max_value=3.0))),
+        beta2=draw(st.floats(min_value=0.0, max_value=3.0)),
+        gamma=draw(st.floats(min_value=0.0, max_value=200.0)),
+        delta=draw(st.floats(min_value=0.0, max_value=0.5)))
+    ends = draw(st.tuples(_SWEEP_ENDS[sweep], _SWEEP_ENDS[sweep]))
+    return params, sweep, ends, draw(st.integers(min_value=2,
+                                                 max_value=120))
+
+
+@given(case=_sweeps())
+@example(case=(MAIN, "gamma", (0.0, 1e305), 101))
+@example(case=(MAIN, "beta2", (-0.0, 3.0), 120))
+@example(case=(MAIN, "delta", (-0.0, 0.0), 5))
+# beta2 = 0: the tilt beta2*tanh(delta) is 0 all along, h* is not
+@example(case=(MAIN.replace(beta2=0.0), "delta", (0.0, 1.0), 11))
+@example(case=(MAIN.replace(beta1=1.0), "beta2", (0.0, 1.0), 41))
+@settings(max_examples=120, deadline=None)
+def test_bifurcation_sweep_is_find_equilibria_at_every_point(case):
+    # the roots solved once per (beta1, beta2, delta) against a solve at
+    # every point: the same rows and transitions, or the same failure
+    assert _sweep_or_error(lambda: bifurcation_sweep(*case)) == \
+        _sweep_or_error(lambda: _pointwise_sweep(*case))
+
+
+def test_a_gamma_sweep_solves_its_roots_once(monkeypatch):
+    calls = []
+    solve = phase.equilibria_1d
+    monkeypatch.setattr(phase, "equilibria_1d",
+                        lambda beta1, c: calls.append(c) or solve(beta1, c))
+    bifurcation_sweep(MAIN, "gamma", (0.0, 100.0), 101)
+    assert len(calls) == 1
+    calls.clear()
+    bifurcation_sweep(MAIN, "beta2", (0.3, 1.0), 101)
+    assert len(calls) == 101
 
 
 def test_negative_bias_mirrors_positive():
