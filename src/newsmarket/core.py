@@ -180,8 +180,10 @@ def _work(work, expr: str) -> None:
     """Reject a call whose work, the `expr` of the flags or fields that set
     it, exceeds _MAX_WORK = 10**9 elementary steps: the RK4 substeps of one
     fixed-step realization (days * substeps) or of an ensemble's
-    (realizations * days * substeps), or the bound on a Glauber call's
-    expected events (flip rate bound * horizon * realizations).
+    (realizations * days * substeps), the bound on a Glauber call's
+    expected events (flip rate bound * horizon * realizations), or the
+    Brent iterations of a bifurcation sweep (steps * 3 brackets *
+    _ROOT_MAXITER).
     A loop that large would run for hours (a count such as substeps =
     10**15 for ever); it raises ValueError naming expr instead."""
     if not work <= _MAX_WORK:

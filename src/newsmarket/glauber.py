@@ -237,12 +237,15 @@ def equilibrium_distribution(config: SpinSystemConfig, t: float = 0.0):
 
     Returns (S_values, H_values, P) with P[i, j] the probability of
     (S_values[i], H_values[j]); P sums to 1.  Time-dependent fields are
-    evaluated at t (the instantaneous equilibrium).  The log-weights take
-    their multiplicities from math.lgamma; shifted by their maximum (a
-    ValueError if that overflows), they are exponentiated and divided by
-    their sum.  P agrees with the weights of scipy's gammaln and logsumexp
-    to a few roundings of the log-factorials (relative gaps of 3e-15 at
-    N_s = 8, 4e-13 at N_s = 200), not bit for bit.
+    evaluated at t (the instantaneous equilibrium).  The log-weights
+    ln C - (E - min E)/theta take their multiplicities from math.lgamma;
+    shifted by their maximum (a ValueError if that overflows), they are
+    exponentiated and divided by their sum.  Subtracting the least energy
+    before dividing by theta keeps a cold table finite (E/theta past the
+    float range on every state) and moves P in its last bits.  P agrees
+    with the weights of scipy's gammaln and logsumexp to a few roundings
+    of the log-factorials (relative gaps of 3e-15 at N_s = 8, 4e-13 at
+    N_s = 200), not bit for bit.
     """
     ns, nh = config.N_s, config.N_h
     S = np.arange(-ns, ns + 1, 2, dtype=float)
@@ -258,8 +261,11 @@ def equilibrium_distribution(config: SpinSystemConfig, t: float = 0.0):
                   - config.mu_s * bs * S[:, None]
                   - 0.5 * jh * H[None, :] ** 2
                   - config.mu_h * bh * H[None, :])
+        # halved, the spread of finite energies cannot overflow; halving
+        # and doubling are exact on normal floats: this is (E - min E)/theta
+        spread = 0.5 * energy - 0.5 * energy.min()
         ln_p = (_log_binomials(ns)[:, None] + _log_binomials(nh)[None, :]
-                - energy / config.theta)
+                - spread / config.theta * 2.0)
         return np.exp(ln_p - ln_p.max())
     p = _finite("P: the Gibbs log-weights ln C - E/theta overflow", weights)
     return S.astype(int), H.astype(int), p / p.sum()

@@ -219,7 +219,8 @@ def test_counts_too_large_for_an_array_are_named(call, kwargs, name):
 # 10**15 is refused for its work before its grid is sized.  The test
 # cuts the budget to 1000 steps, so that an ensemble is refused for the
 # substeps of all its realizations (5 * 50 days * 8) without running
-# one at full size; each realization alone (400) is within it.
+# one at full size; each realization alone (400) is within it.  A sweep
+# is charged three brackets of 100 Brent iterations a point.
 _HUGE = 10 ** 15
 WORK_SITES = [
     (simulate, {**_SIM, "substeps": _HUGE},
@@ -242,6 +243,9 @@ WORK_SITES = [
     (ensemble, dict(params=_QUIET, init=_AT, horizon=50, n_realizations=5,
                     rng=RandomSource(0)),
      "n_realizations * horizon_days * substeps = 5 * 50 * 8 = 2000"),
+    (bifurcation_sweep, dict(params=_QUIET, sweep="gamma",
+                             value_range=(0.0, 10.0), steps=4),
+     "steps * 3 * 100 = 4 * 3 * 100 = 1200"),
 ]
 
 

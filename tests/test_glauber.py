@@ -605,6 +605,25 @@ def test_overflowing_gibbs_log_weights_are_named():
     np.testing.assert_allclose(P[S == 0], [[0.25, 0.5, 0.25]], atol=1e-15)
 
 
+def test_a_cold_gibbs_table_is_its_least_energy_limit():
+    # E/theta was +inf on every state, so every log-weight was -inf and
+    # the call raised; the least energy comes off before theta divides
+    cold = SpinSystemConfig(N_s=3, N_h=2, J11=-100.0,
+                            theta=2.2250738585072014e-308)
+    S, H, P = equilibrium_distribution(cold)
+    assert np.array_equal(P[abs(S) == 3], np.zeros((2, 3)))
+    np.testing.assert_allclose(P[abs(S) == 1], [[0.125, 0.25, 0.125]] * 2,
+                               atol=1e-15)
+    # energies of -+1e308 are finite, their spread is not: the weights
+    # still go as exp(S), P(S = 1)/P(S = -1) = e^2
+    wide = SpinSystemConfig(N_s=1, N_h=2, mu_s=1e308, b_s=1.0, theta=1e308)
+    S, H, P = equilibrium_distribution(wide)
+    assert P[1].sum() / P[0].sum() == pytest.approx(math.exp(2.0),
+                                                    rel=1e-12)
+    np.testing.assert_allclose(P[1] / P[1].sum(), [0.25, 0.5, 0.25],
+                               atol=1e-15)
+
+
 def _counted_field():
     """A constant field that fails the test after 10,000 evaluations."""
     calls = 0

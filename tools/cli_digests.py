@@ -256,6 +256,11 @@ CALLS = [
     "--realizations 100000 --out err32.txt",
     "simulate-theory --params main.txt --horizon 1000 "
     "--realizations 200000 --out err33",
+    # beta2 across the fold, and a sweep past its work budget
+    "analyze sweep --params main.txt --sweep beta2 --range 0.3:1 "
+    "--steps 36 --out sweep_beta2.csv",
+    "analyze sweep --params main.txt --sweep gamma --range 40:90 "
+    "--steps 100000000 --out err34.csv",
 ]
 
 
