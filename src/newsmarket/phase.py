@@ -178,7 +178,8 @@ def find_equilibria(params: ModelParams) -> list:
     their residual (about beta1 times the root tolerance) can exceed; a
     linearization that overflows (beta1 of order 1e150) raises as there.
     """
-    return _classified(*_roots(params), params)
+    h_star, labelled = _roots(params)
+    return [_classify(r, h_star, params, lab) for r, lab in labelled]
 
 
 def _roots(params: ModelParams):
@@ -189,12 +190,6 @@ def _roots(params: ModelParams):
     roots = [r for r, _ in equilibria_1d(params.beta1,
                                          params.beta2 * h_star)]
     return h_star, list(zip(roots, _branch_labels(roots, params.beta1)))
-
-
-def _classified(h_star: float, roots, params: ModelParams) -> list:
-    """find_equilibria's points from _roots' (h*, roots), classified at
-    params."""
-    return [_classify(r, h_star, params, lab) for r, lab in roots]
 
 
 def _branch_labels(roots, beta1: float) -> list:
@@ -453,9 +448,9 @@ def bifurcation_sweep(params: ModelParams, sweep: str, value_range,
     for v in np.linspace(lo, hi, steps).tolist():
         p = params.replace(**{sweep: v})
         if (p.beta1, p.beta2, p.delta) != key:
-            key, roots = (p.beta1, p.beta2, p.delta), _roots(p)
-        rows.append((v, {q.branch: q.stability
-                         for q in _classified(*roots, p)}))
+            key, (h_star, labelled) = (p.beta1, p.beta2, p.delta), _roots(p)
+        rows.append((v, {lab: _classify(r, h_star, p, lab).stability
+                         for r, lab in labelled}))
     transitions = []
     for (v0, before), (v1, after) in zip(rows, rows[1:]):
         for branch in sorted(set(before) | set(after)):
