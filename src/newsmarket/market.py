@@ -199,27 +199,36 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     core._MAX_WORK = 10**9, the used part of theta_profile positive and
     not subnormal, and the daily beta1 finite and non-negative.
     """
+    run = _runs(params, init, horizon_days, substeps, 1, theta_profile,
+                mode, beta1_shift)
+    if params.kappa != 0.0 and rng is None:
+        raise ValueError("noisy run (kappa != 0) requires a RandomSource")
+    return run(rng)
+
+
+def _runs(params, init, horizon_days, substeps, n, theta_profile, mode,
+          beta1_shift):
+    """simulate's set-up for n runs, at the call: every check (n charged
+    to the work budget) and the daily beta1; returns _run's partial."""
     if mode not in (SIMPLIFIED, FULL):
         raise ValueError(f"unknown mode {mode!r}")
-    horizon_days = _size("horizon_days", horizon_days)
-    substeps = _fixed_steps(params, "horizon_days", horizon_days, substeps)
+    days = _size("horizon_days", horizon_days)
+    substeps = _fixed_steps(params, "horizon_days", days, substeps)
+    _work(n * days * substeps, "n_realizations * horizon_days * substeps = "
+          f"{n} * {days} * {substeps}")
     if theta_profile is not None and theta_profile.step != 1.0:
         raise ValueError("theta_profile must be sampled daily (step = 1), "
                          f"got step {theta_profile.step}")
     if theta_profile is not None and theta_profile.start_index != 0:
         raise ValueError("theta_profile must start on the run's day 0, "
                          f"got start day {theta_profile.start_index}")
-    if theta_profile is not None and len(theta_profile) < horizon_days:
+    if theta_profile is not None and len(theta_profile) < days:
         raise ValueError(f"theta_profile has {len(theta_profile)} days, "
-                         f"fewer than horizon_days = {horizon_days}")
-    if params.kappa != 0.0 and rng is None:
-        raise ValueError("noisy run (kappa != 0) requires a RandomSource")
-
-    n = horizon_days
+                         f"fewer than horizon_days = {days}")
     if theta_profile is None:
-        beta1 = np.full(n - 1, params.beta1 + beta1_shift)
+        beta1 = np.full(days - 1, params.beta1 + beta1_shift)
     else:
-        theta = theta_profile.values[:n - 1]
+        theta = theta_profile.values[:days - 1]
         bad_days = np.flatnonzero(theta < _MIN_THETA)
         if bad_days.size:
             bad = int(bad_days[0])
@@ -230,19 +239,22 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     if not np.all(np.isfinite(beta1) & (beta1 >= 0.0)):
         raise ValueError(f"beta1_shift = {beta1_shift} leaves the daily "
                          "beta1 negative or non-finite")
-    xi_seq = (rng.standard_normal(n - 1) if params.kappa != 0.0
-              else np.zeros(n - 1))
+    return partial(_run, params, init, beta1, substeps, theta_profile, mode)
+
+
+def _run(params, init, beta1, substeps, theta_profile, mode, rng):
+    """One run on stream rng (module-level, so a process pool pickles it)."""
+    xi_seq = (rng.standard_normal(beta1.size) if params.kappa != 0.0
+              else np.zeros(beta1.size))
     s_out, h_out = _daily_path(params, beta1, xi_seq, init.s, init.h,
                                substeps, mode)
-
     s_series = Series(s_out, start_index=0, step=1.0)
-    h_series = Series(h_out, start_index=0, step=1.0)
     p_series = price_from_sentiment(s_series, params)
     # p(0) = a1*s(0) + a4 by the pricing convention; add init.p as offset.
     if init.p != 0.0:
         p_series = Series(p_series.values + init.p, 0, 1.0)
     return SimulationRun(
-        s=s_series, h=h_series, p=p_series, params=params,
+        s=s_series, h=Series(h_out, 0, 1.0), p=p_series, params=params,
         seed=rng.seed if rng is not None else None,
         stream_id=rng.stream_id if rng is not None else None,
         mode=mode, theta_profile=theta_profile, xi=xi_seq)
@@ -256,7 +268,8 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
     """Run n_realizations (an integer >= 1) of simulate; realization i
     runs on rng.substream(i).  The RK4 substeps of all of them,
     n_realizations * horizon_days * substeps, may not exceed
-    core._MAX_WORK = 10**9.
+    core._MAX_WORK = 10**9.  Every check is settled at the call (_runs), so
+    a refused call makes no substream and starts no worker pool.
 
     Returns (mean sentiment Series, list of SimulationRun).  Worker count
     (an integer >= 1) comes from the NEWSMARKET_WORKERS environment
@@ -273,13 +286,8 @@ def ensemble(params: ModelParams, init: MarketState, horizon: int,
             raise ValueError(f"{_WORKERS_ENV} must be an integer, "
                              f"got {env!r}") from None
     workers = _count(name, workers)
-    days = _size("horizon_days", horizon)
-    steps = _fixed_steps(params, "horizon_days", days, substeps)
-    _work(n * days * steps, "n_realizations * horizon_days * substeps = "
-          f"{n} * {days} * {steps}")
-    run = partial(simulate, params, init, horizon, substeps,
-                  theta_profile=theta_profile, mode=mode,
-                  beta1_shift=beta1_shift)
+    run = _runs(params, init, horizon, substeps, n, theta_profile, mode,
+                beta1_shift)
     if workers > 1 and n > 1:
         from concurrent.futures import ProcessPoolExecutor
 

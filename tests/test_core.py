@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.special import ndtri
 
-from newsmarket import cli, core
+from newsmarket import cli, core, market
 from newsmarket.analytics import autocorrelation, mssa_leading
 from newsmarket.core import (
     MarketState,
@@ -282,6 +282,59 @@ def test_a_call_its_budget_refuses_makes_no_stream(tmp_path, monkeypatch):
     simulate_glauber(spins, 1.0, RandomSource(0))   # one stream, no fan-out
     assert ensemble(_QUIET, _AT, 5, 2, RandomSource(0))[1][1].stream_id == 1
     assert made == [0, 1]
+
+
+_THETA = np.full(5, 0.9)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(mode="bogus"), "unknown mode 'bogus'"),
+    (dict(theta_profile=Series(_THETA, step=2.0)), "sampled daily"),
+    (dict(theta_profile=Series(_THETA, start_index=1)), "start on the run's"),
+    (dict(theta_profile=Series(_THETA[:3])), "has 3 days, fewer than"),
+    (dict(theta_profile=Series([0.9, 1e-310, 0.9, 0.9, 0.9])),
+     "day 1 has theta = 1e-310"),
+    (dict(beta1_shift=-5.0), "leaves the daily beta1 negative"),
+    (dict(max_work=100), "n_realizations .* exceeds the work budget"),
+], ids=["mode", "theta-step", "theta-start", "theta-short",
+        "theta-subnormal", "beta1-shift", "budget"])
+def test_a_refused_ensemble_makes_no_stream_and_starts_no_pool(
+        kwargs, message, workers, monkeypatch):
+    # simulate's own checks ran per realization, after the streams and the
+    # pool: 100,000 realizations on two workers took 6.4 s and 338 MB to
+    # refuse a short theta profile
+    import concurrent.futures
+
+    made, pools = [], []
+    substream = RandomSource.substream
+    monkeypatch.setattr(RandomSource, "substream",
+                        lambda rng, i: made.append(i) or substream(rng, i))
+    pool = concurrent.futures.ProcessPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        lambda **kw: pools.append(kw) or pool(**kw))
+    kwargs = dict(kwargs)
+    monkeypatch.setattr(core, "_MAX_WORK", kwargs.pop("max_work", _MAX_WORK))
+    with pytest.raises(ValueError, match=message):
+        ensemble(_QUIET, _AT, 5, 4, RandomSource(0), workers=workers,
+                 **kwargs)
+    assert made == [] and pools == []
+    ensemble(_QUIET, _AT, 5, 2, RandomSource(0), workers=workers)
+    assert made == [0, 1] and len(pools) == (workers > 1)
+
+
+def test_one_market_call_admits_its_runs_once(monkeypatch):
+    # ensemble checked the fixed-step rule once itself and then once in
+    # each realization's simulate
+    admitted = []
+    fixed_steps = market._fixed_steps
+    monkeypatch.setattr(market, "_fixed_steps",
+                        lambda *a: admitted.append(a) or fixed_steps(*a))
+    noisy = ModelParams(**GOOD)
+    ensemble(noisy, _AT, 5, 4, RandomSource(0))
+    assert len(admitted) == 1
+    simulate(noisy, _AT, 5, rng=RandomSource(0))
+    assert len(admitted) == 2
 
 
 def test_the_work_budget_admits_its_limit():
