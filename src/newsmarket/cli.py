@@ -205,12 +205,11 @@ def cmd_glauber(args) -> None:
 
     if args.task == "trajectory":
         n, streams = _streams("realizations", args.realizations, rng)
-        runs = _runs(config, args.horizon, n, streams, init,
-                     args.sample_step)[2]
+        run = _runs(config, args.horizon, n, init, args.sample_step)[2]
         out = Path(args.out)
         if n > 1:
             out.mkdir(parents=True, exist_ok=True)
-        for i, traj in enumerate(runs):
+        for i, traj in enumerate(map(run, streams)):
             path, extra = ((out, []) if n == 1 else
                            (out / f"run_{i:03d}.csv", [f"realization: {i}"]))
             _write_table(path, head + extra + [f"events: {traj.n_events}"],

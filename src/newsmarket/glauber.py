@@ -311,14 +311,14 @@ def simulate_glauber(config: SpinSystemConfig, horizon: float,
     they are read at the last event time and held until the next event,
     which approximates the time-varying chain (exact for constants only).
     """
-    return next(_runs(config, horizon, 1, [rng], init, sample_step)[2])
+    return _runs(config, horizon, 1, init, sample_step)[2](rng)
 
 
-def _runs(config, horizon, n, rngs, init, sample_step):
+def _runs(config, horizon, n, init, sample_step):
     """simulate_glauber's set-up for n runs, done at the call: the checks (n
     charged to the work budget), the rates, the grid and the constant-field
-    rate table.  Returns the grid (None per event), the start (s, h) and a
-    lazy map of the trajectory on each stream of rngs."""
+    rate table.  Returns the grid (None per event), the start (s, h) and the
+    run, which maps one stream to its trajectory."""
     if not 0 < horizon < math.inf:
         raise ValueError("horizon must be positive and finite")
     if sample_step is not None and not 0 < sample_step < math.inf:
@@ -421,7 +421,7 @@ def _runs(config, horizon, n, rngs, init, sample_step):
             ks.extend([k] * (n_samples - len(ks)))
         return GlauberTrajectory(times, *decode(ks), n_events, config)
 
-    return grid, np.concatenate(decode([k0])), map(run, rngs)
+    return grid, np.concatenate(decode([k0])), run
 
 
 def _meanfield_rhs(t, y, config):
@@ -478,11 +478,11 @@ def meanfield_compare(config: SpinSystemConfig, horizon: float,
         raise ValueError("meanfield_compare needs a sample_step: runs "
                          "sampled per event cannot be averaged")
     n, streams = _streams("n_realizations", n_realizations, rng)
-    times, start, runs = _runs(config, horizon, n, streams, init,
-                               sample_step)
+    times, start, run = _runs(config, horizon, n, init, sample_step)
     ode = _rk45(lambda t, y: _meanfield_rhs(t, y, config),
                 (0.0, max(float(horizon), float(times[-1]))), start, times)
-    mean_s, mean_h = np.mean([(r.s, r.h) for r in runs], axis=0)
+    mean_s, mean_h = np.mean([(r.s, r.h) for r in map(run, streams)],
+                             axis=0)
     dev_s, dev_h = mean_s - ode[0], mean_h - ode[1]
     return MeanFieldReport(
         times=times, mean_s=mean_s, mean_h=mean_h,

@@ -106,8 +106,8 @@ def test_glauber_ensemble_tracks_the_full_mode_path():
     path = simulate(market_twin(config), MarketState(1.0, 1.0), days + 1, 8,
                     mode=FULL)
     rng = RandomSource(11)
-    trajs = list(_runs(config, float(days), runs,
-                       [rng.substream(i) for i in range(runs)], None, 1.0)[2])
+    trajs = list(map(_runs(config, float(days), runs, None, 1.0)[2],
+                     [rng.substream(i) for i in range(runs)]))
     mean_s = np.mean([r.s for r in trajs], axis=0)
     mean_h = np.mean([r.h for r in trajs], axis=0)
     gap = max(np.max(np.abs(mean_s - path.s.values)),

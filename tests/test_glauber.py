@@ -404,9 +404,9 @@ def test_every_realization_of_one_call_is_its_own_simulate_glauber(
     with pytest.MonkeyPatch.context() as mp:
         if cache_size is not None:
             mp.setattr(glauber, "_RATE_CACHE", cache_size)
-        runs = list(glauber._runs(config, horizon, 3,
-                                  [rng.substream(i) for i in range(3)],
-                                  init, sample_step)[2])
+        runs = list(map(glauber._runs(config, horizon, 3, init,
+                                      sample_step)[2],
+                        [rng.substream(i) for i in range(3)]))
         if sample_step is not None:
             report = meanfield_compare(config, horizon, 3, rng, init,
                                        sample_step)
@@ -426,9 +426,8 @@ def test_every_realization_of_one_call_is_its_own_simulate_glauber(
 
 @pytest.mark.parametrize("sample_step", [None, 0.5])
 def test_the_runs_of_one_call_own_their_times(sample_step):
-    runs = list(glauber._runs(DB, 10.0, 3, [RandomSource(0).substream(i)
-                                         for i in range(3)],
-                              None, sample_step)[2])
+    runs = list(map(glauber._runs(DB, 10.0, 3, None, sample_step)[2],
+                    [RandomSource(0).substream(i) for i in range(3)]))
     first = runs[1].times.copy()
     runs[0].times[:] = -1.0
     assert np.array_equal(runs[1].times, first)
@@ -450,9 +449,8 @@ def test_the_set_up_refuses_at_the_call(horizon, init, sample_step, n,
                                         message):
     # the set-up once ran at the first run's first draw, so a caller had
     # to start iterating to see a refusal
-    streams = map(RandomSource(0).substream, range(n))
     with pytest.raises(ValueError, match=message):
-        glauber._runs(DB, horizon, n, streams, init, sample_step)
+        glauber._runs(DB, horizon, n, init, sample_step)
 
 
 def test_meanfield_compare_solves_before_any_chain_draws(monkeypatch):
