@@ -1,5 +1,6 @@
 """Parameter records, series carrier, random source, and text round-trips."""
 
+import concurrent.futures
 import math
 import re
 
@@ -302,10 +303,8 @@ _THETA = np.full(5, 0.9)
 def test_a_refused_ensemble_makes_no_stream_and_starts_no_pool(
         kwargs, message, workers, monkeypatch):
     # simulate's own checks ran per realization, after the streams and the
-    # pool: 100,000 realizations on two workers took 6.4 s and 338 MB to
+    # pool: 100,000 realizations on two workers took 5.7 s and 338 MB to
     # refuse a short theta profile
-    import concurrent.futures
-
     made, pools = [], []
     substream = RandomSource.substream
     monkeypatch.setattr(RandomSource, "substream",
