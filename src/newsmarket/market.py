@@ -197,7 +197,8 @@ def simulate(params: ModelParams, init: MarketState, horizon_days: int,
     temperature-modulated runs).  horizon_days and substeps must be
     integers >= 1 (numpy integers included) with a product of at most
     core._MAX_WORK = 10**9, the used part of theta_profile positive and
-    not subnormal, and the daily beta1 finite and non-negative.
+    not subnormal, and the daily beta1 finite and non-negative.  A price
+    past the float range, init.p added, raises ValueError naming its fields.
     """
     run = _runs(params, init, horizon_days, substeps, 1, theta_profile,
                 mode, beta1_shift)
@@ -252,7 +253,9 @@ def _run(params, init, beta1, substeps, theta_profile, mode, rng):
     p_series = price_from_sentiment(s_series, params)
     # p(0) = a1*s(0) + a4 by the pricing convention; add init.p as offset.
     if init.p != 0.0:
-        p_series = Series(p_series.values + init.p, 0, 1.0)
+        p_series = Series(_finite("log price from the start's p and a1, a2, "
+                                  "a4, s_star overflows", np.add,
+                                  p_series.values, init.p), 0, 1.0)
     return SimulationRun(
         s=s_series, h=Series(h_out, 0, 1.0), p=p_series, params=params,
         seed=rng.seed if rng is not None else None,

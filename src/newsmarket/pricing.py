@@ -99,13 +99,17 @@ def calibrate_price(s: Series, p_obs: Series) -> PriceFit:
     Regressors are {s, running integral of s, t} plus an intercept; the
     time coefficient is -a2*s_star, which recovers s_star.  Raises
     "degenerate sentiment series" when the design is rank-deficient
-    (constant s, for instance).
+    (constant s, for instance), and names p_obs when it or the fitted
+    price is constant, where the correlation is undefined.
     """
     if len(s) != len(p_obs):
         raise ValueError("sentiment and price series must have equal length")
     n = len(s)
     if n < 30:
         raise ValueError("need at least 30 samples to calibrate")
+    if np.ptp(p_obs.values) == 0.0:
+        raise ValueError("p_obs has zero spread, so its correlation with "
+                         "the fit is undefined")
     t = s.step * np.arange(n)
     integ = _cumtrapz0(s.values, s.step)
     coef, fitted = _least_squares([s.values, integ, t], p_obs.values)
@@ -113,6 +117,9 @@ def calibrate_price(s: Series, p_obs: Series) -> PriceFit:
     s_star = -ct / a2
     resid = fitted - p_obs.values
     rms = float(np.sqrt(np.mean(resid**2)))
+    if np.ptp(fitted) == 0.0:
+        raise ValueError("the price fitted to p_obs has zero spread, so "
+                         "their correlation is undefined")
     corr = float(np.corrcoef(fitted, p_obs.values)[0, 1])
     return PriceFit(a1=a1, a2=a2, a4=a4, s_star=s_star,
                     residual_rms=rms, correlation=corr)

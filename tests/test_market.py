@@ -130,6 +130,17 @@ def test_initial_price_offset():
     assert base.p.values[0] == MAIN.a1 * 0.5 + MAIN.a4
 
 
+@pytest.mark.parametrize("call", [
+    lambda params, start: simulate(params, start, 10, rng=RandomSource(0)),
+    lambda params, start: ensemble(params, start, 10, 2, RandomSource(0)),
+], ids=["simulate", "ensemble"])
+def test_an_overflowing_start_price_is_named(call):
+    # p(0) = a1*s(0) + a4 is finite, and adding the start's p = 1e308 once
+    # overflowed with numpy's warning and a message that named no field
+    with pytest.raises(ValueError, match="start's p and a1, a2, a4, s_star"):
+        call(MAIN.replace(a4=1e308), MarketState(0.5, 0.0, p=1e308))
+
+
 def test_simulate_errors():
     with pytest.raises(ValueError, match="requires a RandomSource"):
         simulate(MAIN, MarketState(0.0, 0.0), 10)

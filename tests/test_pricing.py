@@ -105,6 +105,15 @@ def test_calibrate_errors():
         calibrate_price(flat, Series(np.arange(100.0)))
 
 
+@pytest.mark.parametrize("price", [3.0, 0.0])
+def test_calibrate_refuses_a_constant_price(price):
+    # 3.0 gave correlation nan with two invalid-value warnings, and 0.0 a
+    # bare ZeroDivisionError from s_star = -ct/a2
+    s = Series(np.sin(np.arange(100) / 7.0))
+    with pytest.raises(ValueError, match="p_obs has zero spread"):
+        calibrate_price(s, Series(np.full(100, price)))
+
+
 def test_initial_sentiment_branches():
     top = initial_sentiment(1.1, 0.55, 0.0)
     assert top == pytest.approx(0.5029405749446065, abs=1e-9)

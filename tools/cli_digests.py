@@ -1,4 +1,4 @@
-"""Digest every output of a fixed set of `python -m newsmarket` calls.
+"""Digest every output of a fixed set of `newsmarket` CLI calls.
 
 Writes fixed inputs to a temporary directory, runs each call below in it
 (every subcommand and task, with a few rejected inputs), and prints one
@@ -12,25 +12,31 @@ last bits.
 
     python tools/cli_digests.py [SRC] > listing.txt
 
-SRC is the `src` directory of the checkout to run (default: the one next
-to this script), for instance an unpacked `git archive` of another
-commit.  Each call runs as a `python -m newsmarket` subprocess.
-tests/test_listing.py runs the same calls in-process through
-`cli.main` and compares them with tests/cli_listing.txt, this script's
-output on the platform its first line names; a change that alters an
-output on purpose rewrites that file with this script.
+SRC is the `src` directory (default: the one next to this script) of the
+checkout to run, an unpacked `git archive` of another commit, say; one
+without a `newsmarket` package is an error.  The calls run in this
+process through `cli.main`, each ending as a fresh `python -m newsmarket`
+would.  tests/test_listing.py compares listing() with
+tests/cli_listing.txt, this script's output on the platform its first
+line names; a change that alters an output on purpose rewrites that file
+with this script.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import importlib.util
+import io
 import math
 import os
 import platform
-import subprocess
 import sys
 import tempfile
+import traceback
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 
@@ -275,13 +281,48 @@ def fingerprint() -> str:
             f"libc {' '.join(platform.libc_ver())}")
 
 
-def listing(tmp: Path, run) -> list:
-    """The listing of CALLS run in tmp, which holds INPUTS, as lines (the
-    fingerprint line aside); run(argv) returns the call's exit status,
-    stdout bytes and stderr text."""
+def _show_warning(message, category, filename, lineno, file=None,
+                  line=None):
+    sys.stderr.write(warnings.formatwarning(message, category, filename,
+                                            lineno, line))
+
+
+def _call(argv) -> tuple:
+    """cli.main(argv) as a fresh `python -m newsmarket` ends it: the exit
+    status (1 after the traceback of an uncaught exception), the stdout
+    bytes and the stderr text, with warnings shown, not raised."""
+    from newsmarket.cli import main
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("default")
+        warnings.showwarning = _show_warning    # past a caller's recorder
+        try:
+            code = main(argv)
+        except SystemExit as stop:          # argparse: --help, usage errors
+            code = stop.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
+    return code, out.getvalue().encode(), err.getvalue()
+
+
+def listing(tmp: Path) -> list:
+    """The listing of CALLS (the fingerprint line aside), run in the empty
+    directory tmp once INPUTS are written there, with help at 80 columns
+    and NEWSMARKET_WORKERS unset."""
+    for name, text in INPUTS.items():
+        (tmp / name).write_text(text)
+    home = os.getcwd()
+    with mock.patch.dict(os.environ, COLUMNS="80"):
+        os.environ.pop("NEWSMARKET_WORKERS", None)
+        os.chdir(tmp)
+        try:
+            results = [_call(call.split()) for call in CALLS]
+        finally:
+            os.chdir(home)
     lines = []
-    for call in CALLS:
-        code, out, err = run(call.split())
+    for call, (code, out, err) in zip(CALLS, results):
         lines += [f"$ newsmarket {call}", f"exit {code}"]
         err = err.strip().splitlines()
         if err:
@@ -299,21 +340,13 @@ def listing(tmp: Path, run) -> list:
 def main(argv) -> int:
     src = Path(argv[1] if len(argv) > 1
                else Path(__file__).resolve().parents[1] / "src").resolve()
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("NEWSMARKET_WORKERS", None)
+    sys.path.insert(0, str(src))
+    spec = importlib.util.find_spec("newsmarket")
+    if spec is None or spec.origin != str(src / "newsmarket" / "__init__.py"):
+        sys.exit(f"error: no newsmarket package in {src}")
     with tempfile.TemporaryDirectory() as tmp:
-        tmp = Path(tmp)
-        for name, text in INPUTS.items():
-            (tmp / name).write_text(text)
-
-        def run(args):
-            proc = subprocess.run(
-                [sys.executable, "-m", "newsmarket", *args],
-                cwd=tmp, env=env, capture_output=True, timeout=300)
-            return proc.returncode, proc.stdout, proc.stderr.decode()
-
         print(f"# fingerprint: {fingerprint()}")
-        print("\n".join(listing(tmp, run)))
+        print("\n".join(listing(Path(tmp))))
     return 0
 
 
