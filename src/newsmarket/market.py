@@ -226,6 +226,8 @@ def _runs(params, init, horizon_days, substeps, n, theta_profile, mode,
     if theta_profile is not None and len(theta_profile) < days:
         raise ValueError(f"theta_profile has {len(theta_profile)} days, "
                          f"fewer than horizon_days = {days}")
+    if not math.isfinite(beta1_shift):
+        raise ValueError(f"beta1_shift = {beta1_shift} is not finite")
     if theta_profile is None:
         beta1 = np.full(days - 1, params.beta1 + beta1_shift)
     else:

@@ -99,8 +99,9 @@ def calibrate_price(s: Series, p_obs: Series) -> PriceFit:
     Regressors are {s, running integral of s, t} plus an intercept; the
     time coefficient is -a2*s_star, which recovers s_star.  Raises
     "degenerate sentiment series" when the design is rank-deficient
-    (constant s, for instance), and names p_obs when it or the fitted
-    price is constant, where the correlation is undefined.
+    (constant s, for instance), names p_obs when it or the fitted price
+    is constant, where the correlation is undefined, and names s_star and
+    a2 when the fitted s_star leaves [-1, 1] (a2 at rounding level, say).
     """
     if len(s) != len(p_obs):
         raise ValueError("sentiment and price series must have equal length")
@@ -114,6 +115,9 @@ def calibrate_price(s: Series, p_obs: Series) -> PriceFit:
     integ = _cumtrapz0(s.values, s.step)
     coef, fitted = _least_squares([s.values, integ, t], p_obs.values)
     a1, a2, ct, a4 = (float(v) for v in coef)
+    if not abs(ct) <= abs(a2):
+        raise ValueError(f"the fitted s_star leaves [-1, 1]: a2 = {a2!r}, "
+                         f"a2*s_star = {-ct!r}")
     s_star = -ct / a2
     resid = fitted - p_obs.values
     rms = float(np.sqrt(np.mean(resid**2)))

@@ -1,20 +1,15 @@
 """The CLI listing of tools/cli_digests.py against the golden file
 tests/cli_listing.txt, and the tool's one in-process runner."""
 
-import importlib.util
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import cli_digests as digests
 import pytest
 
 from newsmarket import cli
-
-_TOOL = Path(__file__).resolve().parents[1] / "tools" / "cli_digests.py"
-_spec = importlib.util.spec_from_file_location("cli_digests", _TOOL)
-digests = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(digests)
 
 GOLDEN = Path(__file__).with_name("cli_listing.txt")
 _MARK = "# fingerprint: "
@@ -53,7 +48,7 @@ def test_a_warning_is_shown_on_stderr_not_raised(monkeypatch):
 def test_the_tool_refuses_a_src_without_newsmarket(tmp_path):
     # conftest puts the in-tree src on PYTHONPATH, so the import would
     # fall through to it
-    proc = subprocess.run([sys.executable, str(_TOOL), str(tmp_path)],
+    proc = subprocess.run([sys.executable, digests.__file__, str(tmp_path)],
                           capture_output=True, text=True)
     assert proc.returncode != 0
     assert str(tmp_path.resolve()) in proc.stderr

@@ -255,6 +255,9 @@ def bad_simulate_input(draw):
         st.floats(min_value=-1e6, max_value=-5.01)))}
     if draw(st.booleans()):
         kw["theta_profile"] = Series(np.array(theta))
+    # a non-finite shift is refused even at horizon 1, which sets no beta1
+    if not math.isfinite(kw["beta1_shift"]):
+        horizon = 1
     return horizon, kw, "beta1_shift"
 
 

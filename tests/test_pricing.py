@@ -114,6 +114,18 @@ def test_calibrate_refuses_a_constant_price(price):
         calibrate_price(s, Series(np.full(100, price)))
 
 
+@pytest.mark.parametrize("noise", [0.0, 1e-3])
+def test_calibrate_refuses_an_s_star_outside_its_range(noise):
+    # a price without sentiment in it: a2 came out at 1.05e-15 with
+    # s_star = -4.74e14 (correlation 0.9999999999999999), or with noise
+    # at -3.2e-5 with s_star = 15751
+    s = Series(np.sin(np.arange(100) / 7.0))
+    p = 0.5 * np.arange(100.0)
+    p += noise * np.random.default_rng(0).standard_normal(100)
+    with pytest.raises(ValueError, match=r"s_star leaves \[-1, 1\]: a2 = "):
+        calibrate_price(s, Series(p))
+
+
 def test_initial_sentiment_branches():
     top = initial_sentiment(1.1, 0.55, 0.0)
     assert top == pytest.approx(0.5029405749446065, abs=1e-9)
